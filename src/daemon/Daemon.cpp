@@ -18,87 +18,16 @@ using namespace m2c::net;
 Daemon::Daemon(VirtualFileSystem &Files, StringInterner &Interner,
                DaemonConfig Config)
     : Files(Files), Interner(Interner), Config(std::move(Config)),
-      Service(Files, Interner, this->Config.Service) {}
-
-Daemon::~Daemon() { stop(); }
-
-bool Daemon::start(std::string &Err) {
-  if (Started) {
-    Err = "daemon already started";
-    return false;
-  }
-  if (Config.UnixSocketPath.empty() && !Config.EnableTcp) {
-    Err = "no listener configured (need a unix socket path and/or TCP)";
-    return false;
-  }
-  if (!Config.UnixSocketPath.empty()) {
-    UnixListener = Listener::unixDomain(Config.UnixSocketPath, Err);
-    if (!UnixListener.valid())
-      return false;
-  }
-  if (Config.EnableTcp) {
-    TcpListener = Listener::tcp(Config.TcpPort, Err);
-    if (!TcpListener.valid())
-      return false;
-    TcpPortBound = TcpListener.port();
-  }
-  Started = true;
-  MonitorThread = std::thread([this] { monitorLoop(); });
-  if (UnixListener.valid())
-    AcceptThreads.emplace_back([this] { acceptLoop(UnixListener); });
-  if (TcpListener.valid())
-    AcceptThreads.emplace_back([this] { acceptLoop(TcpListener); });
-  return true;
-}
-
-void Daemon::requestDrain() {
-  Draining.store(true, std::memory_order_relaxed);
-}
-
-void Daemon::stop() {
-  if (!Started || Stopped)
-    return;
-  Stopped = true;
-  requestDrain();
-
-  // Finish in-flight: every accepted BUILD's one reply must be delivered
-  // before any socket is torn down (PROTOCOL.md §12).  Spawning holds
-  // BuildsM and re-checks Draining under it, so once the predicate holds
-  // under the lock no further build can appear.
-  {
-    std::unique_lock<std::mutex> Lock(BuildsM);
-    BuildsCv.wait(Lock, [this] {
-      return PendingBuilds.load(std::memory_order_relaxed) == 0;
-    });
-    reapBuildThreads(/*All=*/true);
-  }
-
-  // Join the accept loops before touching the listener fds: each loop
-  // polls with a 100ms timeout and rechecks Stopping, so closing the fd
-  // out from under a blocked poll()/accept() is never necessary.
-  Stopping.store(true, std::memory_order_relaxed);
-  for (std::thread &T : AcceptThreads)
-    T.join();
-  AcceptThreads.clear();
-  UnixListener.close();
-  TcpListener.close();
-
-  // Wake connection readers blocked in recv and join them.
-  {
-    std::lock_guard<std::mutex> Lock(ConnsM);
-    for (auto &[Conn, Thread] : Conns) {
-      Conn->Sock.shutdownBoth();
-      Thread.join();
-    }
-    Conns.clear();
-  }
-  {
-    std::lock_guard<std::mutex> Lock(DeadlineM);
-    Deadlines.clear();
-  }
-  DeadlineCv.notify_all();
-  MonitorThread.join();
-}
+      Service(Files, Interner, this->Config.Service),
+      Server({this->Config.UnixSocketPath, this->Config.EnableTcp,
+              this->Config.TcpPort, this->Config.MaxConnections,
+              this->Config.MaxPendingBuilds,
+              this->Config.WorkerMode ? "m2cd/1 worker" : "m2cd/1", "net"},
+             NetStats,
+             [this](BuildRequestMsg Msg, const RequestControl &Control) {
+               return submit(std::move(Msg), Control);
+             },
+             [this] { return statsSnapshot(); }) {}
 
 std::map<std::string, uint64_t> Daemon::statsSnapshot() {
   std::map<std::string, uint64_t> Merged = Service.statsSnapshot();
@@ -115,238 +44,8 @@ std::map<std::string, uint64_t> Daemon::statsSnapshot() {
   return Merged;
 }
 
-void Daemon::sendFrame(Connection &Conn, const Frame &F) {
-  std::lock_guard<std::mutex> Lock(Conn.WriteM);
-  // A failed send means the client vanished (EPIPE is suppressed by
-  // MSG_NOSIGNAL, so a dead peer can never SIGPIPE the daemon); its reader
-  // will see EOF and wind the connection down, so the write is simply
-  // counted and dropped.
-  if (!Conn.Sock.sendFrame(F))
-    NetStats.add("net.replies.sendfailed");
-}
-
-//===--- Accepting ---------------------------------------------------------===//
-
-void Daemon::acceptLoop(net::Listener &L) {
-  while (!Stopping.load(std::memory_order_relaxed)) {
-    Socket S;
-    switch (L.acceptFor(/*TimeoutMs=*/100, S)) {
-    case Listener::AcceptStatus::TimedOut:
-      continue;
-    case Listener::AcceptStatus::Error:
-      return; // Listener closed (stop) or irrecoverably broken.
-    case Listener::AcceptStatus::Accepted:
-      break;
-    }
-    if (Draining.load(std::memory_order_relaxed)) {
-      NetStats.add("net.connections.draining");
-      S.sendFrame(encode(ErrorMsg{Status::Draining, "daemon is draining"}));
-      continue; // Socket closes on scope exit.
-    }
-    if (ActiveConns.load(std::memory_order_relaxed) >= Config.MaxConnections) {
-      NetStats.add("net.connections.shed");
-      S.sendFrame(encode(
-          ErrorMsg{Status::RejectedOverload, "connection limit reached"}));
-      continue;
-    }
-    auto Conn = std::make_shared<Connection>();
-    Conn->Sock = std::move(S);
-    ActiveConns.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> Lock(ConnsM);
-    // Opportunistically reap connections whose reader already exited so
-    // a long-lived daemon's list stays proportional to live clients.
-    for (size_t I = 0; I < Conns.size();) {
-      if (Conns[I].first->ReaderDone.load(std::memory_order_acquire)) {
-        Conns[I].second.join();
-        Conns.erase(Conns.begin() + static_cast<ptrdiff_t>(I));
-      } else {
-        ++I;
-      }
-    }
-    Conns.emplace_back(Conn,
-                       std::thread([this, Conn] { serveConnection(Conn); }));
-  }
-}
-
-//===--- Per-connection protocol -------------------------------------------===//
-
-bool Daemon::handshake(Connection &Conn) {
-  Frame F;
-  if (Conn.Sock.recvFrame(F) != Socket::RecvStatus::Ok)
-    return false;
-  HelloMsg Hello;
-  if (!decode(F, Hello)) {
-    NetStats.add("net.frames.malformed");
-    sendFrame(Conn, encode(ErrorMsg{Status::Malformed,
-                                    "expected HELLO as the first frame"}));
-    return false;
-  }
-  if (Hello.MinVersion > ProtocolVersion ||
-      Hello.MaxVersion < ProtocolVersion) {
-    sendFrame(Conn, encode(ErrorMsg{Status::UnsupportedVersion,
-                                    "server implements only version " +
-                                        std::to_string(ProtocolVersion)}));
-    return false;
-  }
-  sendFrame(Conn, encode(WelcomeMsg{ProtocolVersion, Config.WorkerMode
-                                                         ? "m2cd/1 worker"
-                                                         : "m2cd/1"}));
-  NetStats.add("net.connections.accepted");
-  return true;
-}
-
-void Daemon::serveConnection(std::shared_ptr<Connection> Conn) {
-  if (handshake(*Conn)) {
-    bool Fatal = false;
-    while (!Fatal) {
-      Frame F;
-      Socket::RecvStatus RS = Conn->Sock.recvFrame(F);
-      if (RS == Socket::RecvStatus::Closed)
-        break;
-      if (RS == Socket::RecvStatus::Truncated) {
-        NetStats.add("net.frames.truncated");
-        break;
-      }
-      if (RS == Socket::RecvStatus::TooLarge) {
-        NetStats.add("net.frames.toolarge");
-        sendFrame(*Conn, encode(ErrorMsg{Status::FrameTooLarge,
-                                         "frame exceeds 64 MiB"}));
-        break;
-      }
-      if (RS == Socket::RecvStatus::Malformed) {
-        NetStats.add("net.frames.malformed");
-        sendFrame(*Conn,
-                  encode(ErrorMsg{Status::Malformed, "zero-length frame"}));
-        break;
-      }
-      if (RS != Socket::RecvStatus::Ok)
-        break;
-
-      switch (F.Type) {
-      case MsgType::Build: {
-        BuildRequestMsg Msg;
-        if (!decode(F, Msg)) {
-          NetStats.add("net.frames.malformed");
-          sendFrame(*Conn, encode(ErrorMsg{Status::Malformed,
-                                           "undecodable BUILD payload"}));
-          Fatal = true;
-          break;
-        }
-        handleBuild(Conn, std::move(Msg));
-        break;
-      }
-      case MsgType::Cancel: {
-        CancelMsg Msg;
-        if (!decode(F, Msg)) {
-          NetStats.add("net.frames.malformed");
-          sendFrame(*Conn, encode(ErrorMsg{Status::Malformed,
-                                           "undecodable CANCEL payload"}));
-          Fatal = true;
-          break;
-        }
-        handleCancel(Conn, Msg);
-        break;
-      }
-      case MsgType::Stats: {
-        StatsResultMsg Msg;
-        for (const auto &[Name, Value] : statsSnapshot())
-          Msg.Counters.emplace_back(Name, Value);
-        sendFrame(*Conn, encode(Msg));
-        break;
-      }
-      case MsgType::Ping: {
-        PingMsg Msg;
-        if (decode(F, Msg))
-          sendFrame(*Conn, encodePong(Msg.Token));
-        break;
-      }
-      default:
-        // Well-formed frame, unknown type: answer and keep going — the
-        // framing is still trustworthy (PROTOCOL.md §4).
-        NetStats.add("net.frames.unknown");
-        sendFrame(*Conn, encode(ErrorMsg{Status::UnknownType,
-                                         "unknown message type"}));
-        break;
-      }
-    }
-  }
-  Conn->Sock.shutdownBoth();
-  ActiveConns.fetch_sub(1, std::memory_order_relaxed);
-  Conn->ReaderDone.store(true, std::memory_order_release);
-}
-
-//===--- Builds ------------------------------------------------------------===//
-
-void Daemon::handleBuild(const std::shared_ptr<Connection> &Conn,
-                         BuildRequestMsg Msg) {
-  auto Refuse = [&](Status St, const char *Counter) {
-    NetStats.add(Counter);
-    BuildResultMsg Out;
-    Out.RequestId = Msg.RequestId;
-    Out.St = St;
-    sendFrame(*Conn, encode(Out));
-  };
-
-  // Admission — the drain gate and the shed bound — is decided under
-  // BuildsM: stop() waits for PendingBuilds == 0 under the same lock
-  // with Draining already set, so a build can never slip in behind the
-  // drain's back.
-  {
-    std::lock_guard<std::mutex> Lock(BuildsM);
-    if (Draining.load(std::memory_order_relaxed)) {
-      Refuse(Status::Draining, "net.requests.draining");
-      return;
-    }
-    if (PendingBuilds.load(std::memory_order_relaxed) >=
-        Config.MaxPendingBuilds) {
-      Refuse(Status::RejectedOverload, "net.requests.shed");
-      return;
-    }
-    PendingBuilds.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  auto State = std::make_shared<RequestState>();
-  State->Id = Msg.RequestId;
-  State->Conn = Conn;
-  if (Msg.DeadlineMs > 0) {
-    State->HasDeadline = true;
-    State->Deadline =
-        Clock::now() + std::chrono::milliseconds(Msg.DeadlineMs);
-  }
-  {
-    std::lock_guard<std::mutex> Lock(Conn->ReqM);
-    if (!Conn->InFlight.emplace(Msg.RequestId, State).second) {
-      // Duplicate in-flight id: connection-fatal (PROTOCOL.md §5.3).
-      // The reader sees ReqM poisoned via the error frame + shutdown.
-      PendingBuilds.fetch_sub(1, std::memory_order_relaxed);
-      BuildsCv.notify_all();
-      NetStats.add("net.frames.malformed");
-      sendFrame(*Conn, encode(ErrorMsg{Status::Malformed,
-                                       "request id already in flight"}));
-      Conn->Sock.shutdownBoth();
-      return;
-    }
-  }
-  NetStats.add("net.requests.received");
-
-  if (State->HasDeadline) {
-    std::lock_guard<std::mutex> Lock(DeadlineM);
-    Deadlines.emplace(State->Deadline, State);
-    DeadlineCv.notify_all();
-  }
-
-  std::lock_guard<std::mutex> Lock(BuildsM);
-  reapBuildThreads(/*All=*/false);
-  auto Done = std::make_shared<std::atomic<bool>>(false);
-  BuildThreads.emplace_back(
-      Done, std::thread([this, State, Msg = std::move(Msg), Done]() mutable {
-        runBuild(std::move(State), std::move(Msg));
-        Done->store(true, std::memory_order_release);
-      }));
-}
-
-void Daemon::runBuild(std::shared_ptr<RequestState> State,
-                      BuildRequestMsg Msg) {
+std::optional<BuildResultMsg> Daemon::submit(BuildRequestMsg Msg,
+                                             const RequestControl &Control) {
   if (Config.OnBuildStart)
     Config.OnBuildStart(Msg.RequestId);
 
@@ -359,130 +58,28 @@ void Daemon::runBuild(std::shared_ptr<RequestState> State,
     NetStats.add("net.files.pushed", Msg.Files.size());
   }
 
-  // A failing build thread must never take the daemon (or the connection)
-  // down with it: injected faults and any exception escaping the service
-  // become a clean BUILD_RESULT carrying Status::Internal, preserving the
-  // exactly-one-reply invariant.  Internal is retryable client-side.
-  build::BuildResult R;
-  std::string FaultDetail;
-  if (M2C_FAULT_HIT("daemon.build").fail()) {
-    FaultDetail = "injected fault at daemon.build";
-  } else {
-    try {
-      R = Service.submit(Msg.Roots, &State->Control,
-                         static_cast<opt::OptLevel>(Msg.OptLevel));
-    } catch (const std::exception &E) {
-      FaultDetail = E.what();
-    }
-  }
+  // The server turns the throw into one clean INTERNAL reply.
+  if (M2C_FAULT_HIT("daemon.build").fail())
+    throw fault::InjectedFault("daemon.build");
+  build::BuildResult R = Service.submit(
+      Msg.Roots, &Control, static_cast<opt::OptLevel>(Msg.OptLevel));
+  // A checkpoint early-out: the deadline monitor or a CANCEL answers this
+  // request; nothing was compiled.
+  if (R.Aborted)
+    return std::nullopt;
 
-  if (!FaultDetail.empty()) {
-    NetStats.add("net.requests.faulted");
-    BuildResultMsg Out;
-    Out.RequestId = State->Id;
-    Out.St = Status::Internal;
-    Out.Diagnostics = "daemon: build aborted: " + FaultDetail + "\n";
-    if (!tryReply(*State, Out, "net.requests.failed"))
-      NetStats.add("net.requests.abandoned");
-  } else if (R.Aborted) {
-    // A checkpoint early-out: the deadline monitor or a CANCEL already
-    // sent this request's reply; nothing was compiled.
-  } else {
-    BuildResultMsg Out;
-    Out.RequestId = State->Id;
-    Out.St = R.Success ? Status::Ok : Status::BuildFailed;
-    Out.Diagnostics = R.DiagnosticText;
-    Out.ElapsedNs = R.ElapsedUnits;
-    if (R.Success)
-      for (const build::ModuleBuild &M : R.Modules) {
-        ModuleArtifact A;
-        A.Name = M.Name;
-        A.FromCache = M.FromCache;
-        A.StreamCount = static_cast<uint32_t>(M.StreamCount);
-        A.Object = codegen::writeObjectFile(M.Image, Interner);
-        Out.Modules.push_back(std::move(A));
-      }
-    if (!tryReply(*State, Out,
-                  R.Success ? "net.requests.ok" : "net.requests.failed"))
-      NetStats.add("net.requests.abandoned");
-  }
-
-  std::lock_guard<std::mutex> Lock(BuildsM);
-  PendingBuilds.fetch_sub(1, std::memory_order_relaxed);
-  BuildsCv.notify_all();
-}
-
-void Daemon::handleCancel(const std::shared_ptr<Connection> &Conn,
-                          const CancelMsg &Msg) {
-  std::shared_ptr<RequestState> State;
-  {
-    std::lock_guard<std::mutex> Lock(Conn->ReqM);
-    auto It = Conn->InFlight.find(Msg.RequestId);
-    if (It != Conn->InFlight.end())
-      State = It->second;
-  }
-  if (!State) {
-    NetStats.add("net.cancels.unknown");
-    return; // Already completed, or never sent: a no-op (PROTOCOL.md §7).
-  }
-  State->Control.abandon();
   BuildResultMsg Out;
-  Out.RequestId = Msg.RequestId;
-  Out.St = Status::Cancelled;
-  tryReply(*State, Out, "net.requests.cancelled");
-}
-
-void Daemon::monitorLoop() {
-  std::unique_lock<std::mutex> Lock(DeadlineM);
-  for (;;) {
-    if (Stopping.load(std::memory_order_relaxed))
-      return;
-    if (Deadlines.empty()) {
-      DeadlineCv.wait_for(Lock, std::chrono::milliseconds(100));
-      continue;
+  Out.St = R.Success ? Status::Ok : Status::BuildFailed;
+  Out.Diagnostics = R.DiagnosticText;
+  Out.ElapsedNs = R.ElapsedUnits;
+  if (R.Success)
+    for (const build::ModuleBuild &M : R.Modules) {
+      ModuleArtifact A;
+      A.Name = M.Name;
+      A.FromCache = M.FromCache;
+      A.StreamCount = static_cast<uint32_t>(M.StreamCount);
+      A.Object = codegen::writeObjectFile(M.Image, Interner);
+      Out.Modules.push_back(std::move(A));
     }
-    Clock::time_point Next = Deadlines.begin()->first;
-    if (Clock::now() < Next) {
-      DeadlineCv.wait_until(Lock, Next);
-      continue;
-    }
-    std::weak_ptr<RequestState> Weak = Deadlines.begin()->second;
-    Deadlines.erase(Deadlines.begin());
-    std::shared_ptr<RequestState> State = Weak.lock();
-    if (!State)
-      continue;
-    Lock.unlock();
-    State->Control.abandon();
-    BuildResultMsg Out;
-    Out.RequestId = State->Id;
-    Out.St = Status::DeadlineExceeded;
-    tryReply(*State, Out, "net.requests.deadline");
-    Lock.lock();
-  }
-}
-
-bool Daemon::tryReply(RequestState &S, const BuildResultMsg &M,
-                      const char *Counter) {
-  if (S.Replied.exchange(true, std::memory_order_acq_rel))
-    return false;
-  // Count before the frame hits the wire: a client that reads its result
-  // and immediately asks for STATS must see this outcome reflected.
-  NetStats.add(Counter);
-  sendFrame(*S.Conn, encode(M));
-  // The id is reusable the moment its result is on the wire (§5.3).
-  std::lock_guard<std::mutex> Lock(S.Conn->ReqM);
-  S.Conn->InFlight.erase(S.Id);
-  return true;
-}
-
-void Daemon::reapBuildThreads(bool All) {
-  // Caller holds BuildsM (handleBuild) or no build can be live (stop).
-  for (size_t I = 0; I < BuildThreads.size();) {
-    if (All || BuildThreads[I].first->load(std::memory_order_acquire)) {
-      BuildThreads[I].second.join();
-      BuildThreads.erase(BuildThreads.begin() + static_cast<ptrdiff_t>(I));
-    } else {
-      ++I;
-    }
-  }
+  return Out;
 }

@@ -6,23 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The long-lived network front end over service::BuildService
-/// (DESIGN.md §11): accepts client connections on a unix-domain and/or
-/// TCP listener, speaks the docs/PROTOCOL.md frame protocol, and
-/// multiplexes every connection's build requests onto the one shared
-/// executor and artifact tiers.  Production-traffic essentials live
-/// here, not in the service: per-request deadlines, client-initiated
-/// cancellation, bounded accept/pending queues with REJECTED_OVERLOAD
-/// shed, graceful drain (finish in-flight, refuse new), and the STATS
-/// counter export.
-///
-/// Threading: one poll()-based accept thread per listener, one reader
-/// thread per connection, one (joinable, reaped) thread per in-flight
-/// build, and one deadline-monitor thread.  Frames on a connection are
-/// serialized by a per-connection write mutex; the "exactly one
-/// BUILD_RESULT per request" invariant is an atomic claim on the
-/// request's Replied flag, so completion, cancellation and deadline
-/// expiry can race freely.
+/// The long-lived network daemon over service::BuildService (DESIGN.md
+/// §11): a net::FrameServer — listeners, the docs/PROTOCOL.md frame
+/// protocol, deadlines, cancellation, shed and drain — whose build
+/// callback multiplexes every connection's requests onto the one shared
+/// executor and artifact tiers.  STATS answers the service counters
+/// merged with the server's net.* set.
 ///
 /// The Daemon is a library class so tests can run it in-process against
 /// real sockets; the `m2cd` executable (m2cd.cpp) is a thin main over
@@ -33,22 +22,16 @@
 #ifndef M2C_DAEMON_DAEMON_H
 #define M2C_DAEMON_DAEMON_H
 
-#include "net/Protocol.h"
-#include "net/Socket.h"
+#include "net/FrameServer.h"
 #include "service/BuildService.h"
 #include "support/Statistic.h"
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
-#include <vector>
 
 namespace m2c::daemon {
 
@@ -81,32 +64,31 @@ struct DaemonConfig {
   std::function<void(uint64_t RequestId)> OnBuildStart;
 };
 
-/// One running daemon: owns the BuildService and all protocol threads.
+/// One running daemon: the BuildService behind a net::FrameServer.
 class Daemon {
 public:
   Daemon(VirtualFileSystem &Files, StringInterner &Interner,
          DaemonConfig Config);
-  ~Daemon();
   Daemon(const Daemon &) = delete;
   Daemon &operator=(const Daemon &) = delete;
 
   /// Binds the configured listeners and starts serving.  False + \p Err
   /// on bind failure.
-  bool start(std::string &Err);
+  bool start(std::string &Err) { return Server.start(Err); }
 
   /// Enters drain (PROTOCOL.md §12): refuse new connections and new
   /// BUILDs, keep serving STATS/PING and every in-flight build.
   /// Idempotent; `m2cd` calls this on SIGTERM.
-  void requestDrain();
+  void requestDrain() { Server.requestDrain(); }
 
-  bool draining() const { return Draining.load(std::memory_order_relaxed); }
+  bool draining() const { return Server.draining(); }
 
   /// Drains, waits for every in-flight build's reply to be delivered,
   /// then tears all threads down.  Idempotent; called by the destructor.
-  void stop();
+  void stop() { Server.stop(); }
 
   /// The TCP listener's bound port (after start()); 0 if TCP is off.
-  uint16_t tcpPort() const { return TcpPortBound; }
+  uint16_t tcpPort() const { return Server.tcpPort(); }
 
   /// Service counters merged with the daemon's net.* set — what a STATS
   /// request returns.
@@ -115,51 +97,9 @@ public:
   service::BuildService &service() { return Service; }
 
 private:
-  using Clock = std::chrono::steady_clock;
-
-  struct Connection;
-
-  /// One in-flight BUILD.  Shared by the build thread, the connection
-  /// reader (cancel), and the deadline monitor; whoever flips Replied
-  /// first owns the reply.
-  struct RequestState {
-    uint64_t Id = 0;
-    std::shared_ptr<Connection> Conn;
-    service::RequestControl Control;
-    std::atomic<bool> Replied{false};
-    Clock::time_point Deadline{};
-    bool HasDeadline = false;
-  };
-
-  struct Connection {
-    net::Socket Sock;
-    std::mutex WriteM; ///< Serializes frames onto the socket.
-    std::atomic<bool> ReaderDone{false};
-    std::mutex ReqM;
-    std::map<uint64_t, std::shared_ptr<RequestState>> InFlight;
-  };
-
-  void acceptLoop(net::Listener &L);
-  void serveConnection(std::shared_ptr<Connection> Conn);
-  bool handshake(Connection &Conn);
-  void handleBuild(const std::shared_ptr<Connection> &Conn,
-                   net::BuildRequestMsg Msg);
-  void runBuild(std::shared_ptr<RequestState> State,
-                net::BuildRequestMsg Msg);
-  void handleCancel(const std::shared_ptr<Connection> &Conn,
-                    const net::CancelMsg &Msg);
-  void monitorLoop();
-
-  /// Sends \p M as this request's one BUILD_RESULT if no one beat us to
-  /// it, bumping \p Counter for the outcome.  Returns false if a reply
-  /// was already sent.
-  bool tryReply(RequestState &S, const net::BuildResultMsg &M,
-                const char *Counter);
-
-  void sendFrame(Connection &Conn, const net::Frame &F);
-
-  /// Joins finished build threads; \p All also joins running ones.
-  void reapBuildThreads(bool All);
+  /// The server's build callback: one BUILD through the service.
+  std::optional<net::BuildResultMsg> submit(net::BuildRequestMsg Msg,
+                                            const RequestControl &Control);
 
   VirtualFileSystem &Files;
   StringInterner &Interner;
@@ -167,34 +107,13 @@ private:
   service::BuildService Service;
   StatisticSet NetStats;
 
-  net::Listener UnixListener, TcpListener;
-  uint16_t TcpPortBound = 0;
-  std::vector<std::thread> AcceptThreads;
-  std::thread MonitorThread;
-
-  std::atomic<bool> Draining{false};
-  std::atomic<bool> Stopping{false};
-  bool Started = false, Stopped = false;
-
-  std::mutex ConnsM;
-  std::vector<std::pair<std::shared_ptr<Connection>, std::thread>> Conns;
-  std::atomic<unsigned> ActiveConns{0};
-
-  /// Builds queued-or-running (the shed bound) and their joinable
-  /// threads, paired with a done flag for opportunistic reaping.
-  std::atomic<unsigned> PendingBuilds{0};
-  std::mutex BuildsM;
-  std::condition_variable BuildsCv;
-  std::vector<std::pair<std::shared_ptr<std::atomic<bool>>, std::thread>>
-      BuildThreads;
-
   /// Writes into the shared VirtualFileSystem (pushed BUILD files) are
   /// serialized so two requests' pushes interleave whole-file.
   std::mutex FilesM;
 
-  std::mutex DeadlineM;
-  std::condition_variable DeadlineCv;
-  std::multimap<Clock::time_point, std::weak_ptr<RequestState>> Deadlines;
+  /// Declared last, so it is destroyed — stopped — first, while
+  /// everything its build threads use is still alive.
+  net::FrameServer Server;
 };
 
 } // namespace m2c::daemon

@@ -17,7 +17,16 @@ using namespace m2c;
 using namespace m2c::farm;
 using namespace m2c::net;
 
-Farm::Farm(FarmConfig Config) : Config(std::move(Config)) {}
+Farm::Farm(FarmConfig Config)
+    : Config(std::move(Config)),
+      Server({this->Config.UnixSocketPath, this->Config.EnableTcp,
+              this->Config.TcpPort, this->Config.MaxConnections,
+              this->Config.MaxPendingRelays, "m2cfarm/1", "farm"},
+             FarmStats,
+             [this](BuildRequestMsg Msg, const RequestControl &Control) {
+               return relay(std::move(Msg), Control);
+             },
+             [this] { return aggregatedStats(); }) {}
 
 Farm::~Farm() { stop(); }
 
@@ -131,12 +140,8 @@ bool Farm::killWorker(unsigned I) {
 //===--- Startup / shutdown ------------------------------------------------===//
 
 bool Farm::start(std::string &Err) {
-  if (Started) {
+  if (!Slots.empty()) {
     Err = "farm already started";
-    return false;
-  }
-  if (Config.UnixSocketPath.empty() && !Config.EnableTcp) {
-    Err = "no listener configured (need a unix socket path and/or TCP)";
     return false;
   }
   if (Config.Workers == 0) {
@@ -162,81 +167,22 @@ bool Farm::start(std::string &Err) {
     Slot->Pool = std::make_unique<ClientPool>(Slot->SocketPath);
     Slots.push_back(std::move(Slot));
   }
-  for (auto &Slot : Slots) {
-    if (!spawnWorker(*Slot, Err)) {
-      for (auto &S : Slots)
-        if (S->Proc) {
-          S->Proc->kill();
-          S->Proc->waitExit(1000);
-        }
-      Slots.clear();
-      return false;
-    }
+  auto Spawn = [&](std::unique_ptr<WorkerSlot> &Slot) {
+    return spawnWorker(*Slot, Err);
+  };
+  if (!std::all_of(Slots.begin(), Slots.end(), Spawn) || !Server.start(Err)) {
+    stopWorkers();
+    Slots.clear();
+    return false;
   }
-
-  if (!Config.UnixSocketPath.empty()) {
-    UnixListener = Listener::unixDomain(Config.UnixSocketPath, Err);
-    if (!UnixListener.valid())
-      return false;
-  }
-  if (Config.EnableTcp) {
-    TcpListener = Listener::tcp(Config.TcpPort, Err);
-    if (!TcpListener.valid())
-      return false;
-    TcpPortBound = TcpListener.port();
-  }
-
-  Started = true;
   HealthThread = std::thread([this] { healthLoop(); });
-  if (UnixListener.valid())
-    AcceptThreads.emplace_back([this] { acceptLoop(UnixListener); });
-  if (TcpListener.valid())
-    AcceptThreads.emplace_back([this] { acceptLoop(TcpListener); });
   return true;
 }
 
-void Farm::requestDrain() {
-  Draining.store(true, std::memory_order_relaxed);
-}
-
 void Farm::stop() {
-  if (!Started || Stopped) {
-    // Even a farm that never start()ed fully may hold spawned workers.
-    for (auto &S : Slots)
-      if (S->Proc) {
-        S->Proc->kill();
-        S->Proc->waitExit(1000);
-      }
-    return;
-  }
-  Stopped = true;
-  requestDrain();
-
-  // Every accepted BUILD's one reply must be delivered before any
-  // socket (or worker) is torn down — same contract as the daemon.
-  {
-    std::unique_lock<std::mutex> Lock(RelaysM);
-    RelaysCv.wait(Lock, [this] {
-      return PendingRelays.load(std::memory_order_relaxed) == 0;
-    });
-    reapRelayThreads(/*All=*/true);
-  }
-
-  Stopping.store(true, std::memory_order_relaxed);
-  for (std::thread &T : AcceptThreads)
-    T.join();
-  AcceptThreads.clear();
-  UnixListener.close();
-  TcpListener.close();
-
-  {
-    std::lock_guard<std::mutex> Lock(ConnsM);
-    for (auto &[Conn, Thread] : Conns) {
-      Conn->Sock.shutdownBoth();
-      Thread.join();
-    }
-    Conns.clear();
-  }
+  // Every accepted BUILD's one reply is delivered before any worker goes:
+  // the workers are what finishes the in-flight relays.
+  Server.stop();
 
   // Health thread off before touching worker processes.
   {
@@ -246,7 +192,10 @@ void Farm::stop() {
   HealthCv.notify_all();
   if (HealthThread.joinable())
     HealthThread.join();
+  stopWorkers();
+}
 
+void Farm::stopWorkers() {
   // Cascade the drain: SIGTERM everyone first (they drain in parallel),
   // then reap with a grace period, escalating to SIGKILL.
   for (auto &Slot : Slots) {
@@ -300,208 +249,7 @@ std::map<std::string, uint64_t> Farm::aggregatedStats() {
   return Merged;
 }
 
-//===--- Accepting (mirrors Daemon::acceptLoop) ----------------------------===//
-
-void Farm::acceptLoop(net::Listener &L) {
-  while (!Stopping.load(std::memory_order_relaxed)) {
-    Socket S;
-    switch (L.acceptFor(/*TimeoutMs=*/100, S)) {
-    case Listener::AcceptStatus::TimedOut:
-      continue;
-    case Listener::AcceptStatus::Error:
-      return;
-    case Listener::AcceptStatus::Accepted:
-      break;
-    }
-    if (Draining.load(std::memory_order_relaxed)) {
-      FarmStats.add("farm.connections.draining");
-      S.sendFrame(encode(ErrorMsg{Status::Draining, "farm is draining"}));
-      continue;
-    }
-    if (ActiveConns.load(std::memory_order_relaxed) >= Config.MaxConnections) {
-      FarmStats.add("farm.connections.shed");
-      S.sendFrame(encode(
-          ErrorMsg{Status::RejectedOverload, "connection limit reached"}));
-      continue;
-    }
-    auto Conn = std::make_shared<Connection>();
-    Conn->Sock = std::move(S);
-    ActiveConns.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> Lock(ConnsM);
-    for (size_t I = 0; I < Conns.size();) {
-      if (Conns[I].first->ReaderDone.load(std::memory_order_acquire)) {
-        Conns[I].second.join();
-        Conns.erase(Conns.begin() + static_cast<ptrdiff_t>(I));
-      } else {
-        ++I;
-      }
-    }
-    Conns.emplace_back(Conn,
-                       std::thread([this, Conn] { serveConnection(Conn); }));
-  }
-}
-
-//===--- Per-connection protocol -------------------------------------------===//
-
-void Farm::sendFrame(Connection &Conn, const Frame &F) {
-  std::lock_guard<std::mutex> Lock(Conn.WriteM);
-  if (!Conn.Sock.sendFrame(F))
-    FarmStats.add("farm.replies.sendfailed");
-}
-
-bool Farm::handshake(Connection &Conn) {
-  Frame F;
-  if (Conn.Sock.recvFrame(F) != Socket::RecvStatus::Ok)
-    return false;
-  HelloMsg Hello;
-  if (!decode(F, Hello)) {
-    FarmStats.add("farm.frames.malformed");
-    sendFrame(Conn, encode(ErrorMsg{Status::Malformed,
-                                    "expected HELLO as the first frame"}));
-    return false;
-  }
-  if (Hello.MinVersion > ProtocolVersion ||
-      Hello.MaxVersion < ProtocolVersion) {
-    sendFrame(Conn, encode(ErrorMsg{Status::UnsupportedVersion,
-                                    "server implements only version " +
-                                        std::to_string(ProtocolVersion)}));
-    return false;
-  }
-  sendFrame(Conn, encode(WelcomeMsg{ProtocolVersion, "m2cfarm/1"}));
-  FarmStats.add("farm.connections.accepted");
-  return true;
-}
-
-void Farm::serveConnection(std::shared_ptr<Connection> Conn) {
-  if (handshake(*Conn)) {
-    bool Fatal = false;
-    while (!Fatal) {
-      Frame F;
-      Socket::RecvStatus RS = Conn->Sock.recvFrame(F);
-      if (RS == Socket::RecvStatus::Closed)
-        break;
-      if (RS == Socket::RecvStatus::Truncated) {
-        FarmStats.add("farm.frames.truncated");
-        break;
-      }
-      if (RS == Socket::RecvStatus::TooLarge) {
-        FarmStats.add("farm.frames.toolarge");
-        sendFrame(*Conn, encode(ErrorMsg{Status::FrameTooLarge,
-                                         "frame exceeds 64 MiB"}));
-        break;
-      }
-      if (RS == Socket::RecvStatus::Malformed) {
-        FarmStats.add("farm.frames.malformed");
-        sendFrame(*Conn,
-                  encode(ErrorMsg{Status::Malformed, "zero-length frame"}));
-        break;
-      }
-      if (RS != Socket::RecvStatus::Ok)
-        break;
-
-      switch (F.Type) {
-      case MsgType::Build: {
-        BuildRequestMsg Msg;
-        if (!decode(F, Msg)) {
-          FarmStats.add("farm.frames.malformed");
-          sendFrame(*Conn, encode(ErrorMsg{Status::Malformed,
-                                           "undecodable BUILD payload"}));
-          Fatal = true;
-          break;
-        }
-        handleBuild(Conn, std::move(Msg));
-        break;
-      }
-      case MsgType::Cancel: {
-        CancelMsg Msg;
-        if (!decode(F, Msg)) {
-          FarmStats.add("farm.frames.malformed");
-          sendFrame(*Conn, encode(ErrorMsg{Status::Malformed,
-                                           "undecodable CANCEL payload"}));
-          Fatal = true;
-          break;
-        }
-        handleCancel(Conn, Msg);
-        break;
-      }
-      case MsgType::Stats: {
-        StatsResultMsg Msg;
-        for (const auto &[Name, Value] : aggregatedStats())
-          Msg.Counters.emplace_back(Name, Value);
-        sendFrame(*Conn, encode(Msg));
-        break;
-      }
-      case MsgType::Ping: {
-        PingMsg Msg;
-        if (decode(F, Msg))
-          sendFrame(*Conn, encodePong(Msg.Token));
-        break;
-      }
-      default:
-        FarmStats.add("farm.frames.unknown");
-        sendFrame(*Conn, encode(ErrorMsg{Status::UnknownType,
-                                         "unknown message type"}));
-        break;
-      }
-    }
-  }
-  Conn->Sock.shutdownBoth();
-  ActiveConns.fetch_sub(1, std::memory_order_relaxed);
-  Conn->ReaderDone.store(true, std::memory_order_release);
-}
-
 //===--- Relaying ----------------------------------------------------------===//
-
-void Farm::handleBuild(const std::shared_ptr<Connection> &Conn,
-                       BuildRequestMsg Msg) {
-  auto Refuse = [&](Status St, const char *Counter) {
-    FarmStats.add(Counter);
-    BuildResultMsg Out;
-    Out.RequestId = Msg.RequestId;
-    Out.St = St;
-    sendFrame(*Conn, encode(Out));
-  };
-
-  {
-    std::lock_guard<std::mutex> Lock(RelaysM);
-    if (Draining.load(std::memory_order_relaxed)) {
-      Refuse(Status::Draining, "farm.requests.draining");
-      return;
-    }
-    if (PendingRelays.load(std::memory_order_relaxed) >=
-        Config.MaxPendingRelays) {
-      Refuse(Status::RejectedOverload, "farm.requests.shed");
-      return;
-    }
-    PendingRelays.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  auto State = std::make_shared<RelayState>();
-  State->Id = Msg.RequestId;
-  State->Conn = Conn;
-  {
-    std::lock_guard<std::mutex> Lock(Conn->ReqM);
-    if (!Conn->InFlight.emplace(Msg.RequestId, State).second) {
-      PendingRelays.fetch_sub(1, std::memory_order_relaxed);
-      RelaysCv.notify_all();
-      FarmStats.add("farm.frames.malformed");
-      sendFrame(*Conn, encode(ErrorMsg{Status::Malformed,
-                                       "request id already in flight"}));
-      Conn->Sock.shutdownBoth();
-      return;
-    }
-  }
-  FarmStats.add("farm.requests.received");
-
-  std::lock_guard<std::mutex> Lock(RelaysM);
-  reapRelayThreads(/*All=*/false);
-  auto Done = std::make_shared<std::atomic<bool>>(false);
-  RelayThreads.emplace_back(
-      Done, std::thread([this, State, Msg = std::move(Msg), Done]() mutable {
-        relay(std::move(State), std::move(Msg));
-        Done->store(true, std::memory_order_release);
-      }));
-}
 
 unsigned Farm::routeWorker(unsigned Shard, bool &Spilled) {
   Spilled = false;
@@ -520,35 +268,21 @@ unsigned Farm::routeWorker(unsigned Shard, bool &Spilled) {
   return Best;
 }
 
-void Farm::relay(std::shared_ptr<RelayState> State, BuildRequestMsg Msg) {
+std::optional<BuildResultMsg> Farm::relay(BuildRequestMsg Msg,
+                                          const RequestControl &Control) {
   const unsigned N = static_cast<unsigned>(Slots.size());
-  const uint64_t ClientId = State->Id;
   const unsigned Shard = affinityShard(Msg.Roots, N);
   bool Spilled = false;
   const unsigned W = routeWorker(Shard, Spilled);
   FarmStats.add(Spilled ? "farm.requests.spilled" : "farm.requests.affinity");
   FarmStats.add("farm.worker." + std::to_string(W) + ".routed");
 
-  auto Finish = [&](BuildResultMsg Result) {
-    Result.RequestId = ClientId;
-    const char *Counter = Result.St == Status::Ok ? "farm.requests.ok"
-                          : Result.St == Status::BuildFailed
-                              ? "farm.requests.failed"
-                              : "farm.requests.othered";
-    if (!tryReply(*State, Result, Counter))
-      FarmStats.add("farm.requests.abandoned");
-    std::lock_guard<std::mutex> Lock(RelaysM);
-    PendingRelays.fetch_sub(1, std::memory_order_relaxed);
-    RelaysCv.notify_all();
-  };
-
   // Fast path: a pooled persistent connection to the routed worker.
-  ErrorCategory Cat = ErrorCategory::None;
   {
     WorkerSlot &Slot = *Slots[W];
     Slot.InFlight.fetch_add(1, std::memory_order_relaxed);
     std::string Err;
-    auto Client = Slot.Pool->acquire(Err, &Cat);
+    auto Client = Slot.Pool->acquire(Err);
     bool Ok = false;
     BuildResultMsg Result;
     if (Client) {
@@ -556,33 +290,22 @@ void Farm::relay(std::shared_ptr<RelayState> State, BuildRequestMsg Msg) {
       // only needs uniqueness within that connection.
       Msg.RequestId = Client->nextRequestId();
       Ok = Client->build(Msg, Result, Err);
+      // A failed exchange poisons the conversation: the client is dropped.
       if (Ok)
         Slot.Pool->release(std::move(Client));
-      else
-        Cat = Client->lastErrorCategory(); // Client dropped: conversation
-                                           // is poisoned.
     }
     Slot.InFlight.fetch_sub(1, std::memory_order_relaxed);
-    if (Ok) {
-      Cat = categorize(Result.St);
-      if (!isRetryable(Cat)) {
-        Finish(std::move(Result));
-        return;
-      }
-      // Retryable worker verdict (overload shed, drain, internal): fall
-      // through to land it on a sibling.
-    }
+    // A retryable worker verdict (overload shed, drain, internal) falls
+    // through to land it on a sibling.
+    if (Ok && !isRetryable(categorize(Result.St)))
+      return Result;
   }
 
-  // The client may have cancelled while the fast path was failing; a
-  // failover for an already-answered request is pure waste.
-  if (State->Replied.load(std::memory_order_acquire)) {
-    FarmStats.add("farm.requests.abandoned");
-    std::lock_guard<std::mutex> Lock(RelaysM);
-    PendingRelays.fetch_sub(1, std::memory_order_relaxed);
-    RelaysCv.notify_all();
-    return;
-  }
+  // The client may have cancelled, or its deadline passed, while the fast
+  // path was failing; a failover for an already-answered request is pure
+  // waste.
+  if (Control.abandoned())
+    return std::nullopt;
 
   // Failover: rotate the remaining workers under the jittered backoff
   // policy.  Fresh connection per attempt (buildWithRetry's contract) —
@@ -600,8 +323,7 @@ void Farm::relay(std::shared_ptr<RelayState> State, BuildRequestMsg Msg) {
                   Count);
   if (Outcome.Delivered) {
     FarmStats.add("farm.requests.failover");
-    Finish(std::move(Result));
-    return;
+    return Result;
   }
 
   // Gave up: map the last failure category onto the protocol status the
@@ -619,50 +341,5 @@ void Farm::relay(std::shared_ptr<RelayState> State, BuildRequestMsg Msg) {
                       std::to_string(Outcome.Attempts + 1) + " attempts (" +
                       errorCategoryName(Outcome.Category) +
                       (Outcome.Err.empty() ? "" : ": " + Outcome.Err) + ")\n";
-  Finish(std::move(Out));
-}
-
-void Farm::handleCancel(const std::shared_ptr<Connection> &Conn,
-                        const CancelMsg &Msg) {
-  std::shared_ptr<RelayState> State;
-  {
-    std::lock_guard<std::mutex> Lock(Conn->ReqM);
-    auto It = Conn->InFlight.find(Msg.RequestId);
-    if (It != Conn->InFlight.end())
-      State = It->second;
-  }
-  if (!State) {
-    FarmStats.add("farm.cancels.unknown");
-    return;
-  }
-  // Client-side semantics only (PROTOCOL.md §7): the upstream build may
-  // run to completion on its worker — its artifacts warm the shared
-  // cache — but this client's one reply is CANCELLED if we win the race.
-  State->Abandoned.store(true, std::memory_order_release);
-  BuildResultMsg Out;
-  Out.RequestId = Msg.RequestId;
-  Out.St = Status::Cancelled;
-  tryReply(*State, Out, "farm.requests.cancelled");
-}
-
-bool Farm::tryReply(RelayState &S, const BuildResultMsg &M,
-                    const char *Counter) {
-  if (S.Replied.exchange(true, std::memory_order_acq_rel))
-    return false;
-  FarmStats.add(Counter);
-  sendFrame(*S.Conn, encode(M));
-  std::lock_guard<std::mutex> Lock(S.Conn->ReqM);
-  S.Conn->InFlight.erase(S.Id);
-  return true;
-}
-
-void Farm::reapRelayThreads(bool All) {
-  for (size_t I = 0; I < RelayThreads.size();) {
-    if (All || RelayThreads[I].first->load(std::memory_order_acquire)) {
-      RelayThreads[I].second.join();
-      RelayThreads.erase(RelayThreads.begin() + static_cast<ptrdiff_t>(I));
-    } else {
-      ++I;
-    }
-  }
+  return Out;
 }

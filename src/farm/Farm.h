@@ -7,12 +7,13 @@
 ///
 /// \file
 /// The multi-process scaling rung above the daemon (DESIGN.md §15): a
-/// coordinator that speaks the ordinary docs/PROTOCOL.md wire protocol
-/// to clients and relays every BUILD to one of N `m2cd -worker`
+/// coordinator that serves the ordinary docs/PROTOCOL.md wire protocol
+/// to clients through the same net::FrameServer as the daemon, and
+/// whose build callback relays every BUILD to one of N `m2cd -worker`
 /// processes over pooled upstream connections.  The farm protocol is a
 /// composition layer, not a new protocol — a client cannot tell a
 /// coordinator from a daemon (same frames, same invariants, same
-/// exactly-one-BUILD_RESULT guarantee).
+/// deadlines, same exactly-one-BUILD_RESULT guarantee).
 ///
 /// Routing: requests shard by module-graph affinity — a hash of the
 /// request's sorted root set, which over one shared workspace uniquely
@@ -38,9 +39,8 @@
 
 #include "farm/WorkerProcess.h"
 #include "net/ClientPool.h"
-#include "net/Protocol.h"
+#include "net/FrameServer.h"
 #include "net/RemoteClient.h"
-#include "net/Socket.h"
 #include "support/Statistic.h"
 
 #include <atomic>
@@ -49,6 +49,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -85,7 +86,7 @@ struct FarmConfig {
                             /*MaxBackoffMs=*/500, /*Jitter=*/0.5,
                             /*JitterSeed=*/0, /*OnBackoff=*/nullptr};
 
-  unsigned ReadyTimeoutMs = 30000; ///< Spawn-to-handshake budget.
+  unsigned ReadyTimeoutMs = 30000; ///< Spawn-to-ready budget.
   unsigned HealthIntervalMs = 100; ///< Liveness poll cadence.
   bool AutoRespawn = true;         ///< Respawn dead workers.
 };
@@ -101,17 +102,17 @@ public:
   Farm(const Farm &) = delete;
   Farm &operator=(const Farm &) = delete;
 
-  /// Spawns the workers, waits for their readiness handshakes, binds
-  /// the client listeners and starts serving.  False + \p Err on any
-  /// failure (everything already spawned is torn down).
+  /// Spawns the workers, waits until each answers its readiness probe,
+  /// binds the client listeners and starts serving.  False + \p Err on
+  /// any failure (everything already spawned is torn down).
   bool start(std::string &Err);
 
   /// Enters drain: refuse new connections and BUILDs, finish in-flight
   /// relays.  Workers keep running — they are what finishes the
   /// in-flight work.  Idempotent.
-  void requestDrain();
+  void requestDrain() { Server.requestDrain(); }
 
-  bool draining() const { return Draining.load(std::memory_order_relaxed); }
+  bool draining() const { return Server.draining(); }
 
   /// Drains, waits for every in-flight relay's reply, tears down the
   /// protocol threads, then cascades SIGTERM to the workers and reaps
@@ -119,7 +120,7 @@ public:
   void stop();
 
   /// The TCP listener's bound port (after start()); 0 if TCP is off.
-  uint16_t tcpPort() const { return TcpPortBound; }
+  uint16_t tcpPort() const { return Server.tcpPort(); }
 
   unsigned workerCount() const { return static_cast<unsigned>(Slots.size()); }
   std::string workerAddress(unsigned I) const;
@@ -145,25 +146,6 @@ public:
                                 unsigned N);
 
 private:
-  struct RelayState;
-
-  struct Connection {
-    net::Socket Sock;
-    std::mutex WriteM;
-    std::atomic<bool> ReaderDone{false};
-    std::mutex ReqM;
-    std::map<uint64_t, std::shared_ptr<RelayState>> InFlight;
-  };
-
-  /// One in-flight client BUILD being relayed.  Whoever flips Replied
-  /// first owns the one BUILD_RESULT (same invariant as the daemon).
-  struct RelayState {
-    uint64_t Id = 0;
-    std::shared_ptr<Connection> Conn;
-    std::atomic<bool> Replied{false};
-    std::atomic<bool> Abandoned{false};
-  };
-
   /// One worker slot: the process (respawned in place), its connection
   /// pool (address never changes), and its load.
   struct WorkerSlot {
@@ -176,26 +158,20 @@ private:
 
   bool spawnWorker(WorkerSlot &Slot, std::string &Err);
   void healthLoop();
+  /// SIGTERMs every worker, then reaps each (SIGKILL after a grace
+  /// period) and clears its pool.
+  void stopWorkers();
 
-  void acceptLoop(net::Listener &L);
-  void serveConnection(std::shared_ptr<Connection> Conn);
-  bool handshake(Connection &Conn);
-  void handleBuild(const std::shared_ptr<Connection> &Conn,
-                   net::BuildRequestMsg Msg);
-  void relay(std::shared_ptr<RelayState> State, net::BuildRequestMsg Msg);
-  void handleCancel(const std::shared_ptr<Connection> &Conn,
-                    const net::CancelMsg &Msg);
+  /// The server's build callback: relays one BUILD to a worker, failing
+  /// over to its siblings.
+  std::optional<net::BuildResultMsg> relay(net::BuildRequestMsg Msg,
+                                           const RequestControl &Control);
 
   /// Picks the worker for a fresh relay: the affinity shard unless its
   /// in-flight load is at SpillThreshold and a strictly less loaded
   /// sibling exists.  Returns the worker index; \p Spilled reports
   /// which path was taken.
   unsigned routeWorker(unsigned Shard, bool &Spilled);
-
-  bool tryReply(RelayState &S, const net::BuildResultMsg &M,
-                const char *Counter);
-  void sendFrame(Connection &Conn, const net::Frame &F);
-  void reapRelayThreads(bool All);
 
   const FarmConfig Config;
   StatisticSet FarmStats;
@@ -206,23 +182,7 @@ private:
   std::mutex HealthM;                ///< Pairs with HealthCv only.
   std::condition_variable HealthCv;  ///< Wakes healthLoop() on stop().
 
-  net::Listener UnixListener, TcpListener;
-  uint16_t TcpPortBound = 0;
-  std::vector<std::thread> AcceptThreads;
-
-  std::atomic<bool> Draining{false};
-  std::atomic<bool> Stopping{false};
-  bool Started = false, Stopped = false;
-
-  std::mutex ConnsM;
-  std::vector<std::pair<std::shared_ptr<Connection>, std::thread>> Conns;
-  std::atomic<unsigned> ActiveConns{0};
-
-  std::atomic<unsigned> PendingRelays{0};
-  std::mutex RelaysM;
-  std::condition_variable RelaysCv;
-  std::vector<std::pair<std::shared_ptr<std::atomic<bool>>, std::thread>>
-      RelayThreads;
+  net::FrameServer Server;
 };
 
 } // namespace m2c::farm

@@ -92,7 +92,7 @@ private:
 /// "m2cd" for PATH resolution at exec time.
 std::string findM2cd(const std::string &Explicit);
 
-/// Polls \p Address until an m2cd answers the handshake, identifies as
+/// Polls \p Address until an m2cd answers HELLO with a WELCOME naming
 /// "m2cd/1 worker" (PROTOCOL.md §14 — proof we reached the worker we
 /// spawned, not some unrelated daemon on a stale socket path), and
 /// answers a PING.  False + \p Err after \p TimeoutMs.

@@ -34,9 +34,9 @@
 #include "service/MemoryCacheTier.h"
 #include "service/RequestQueue.h"
 #include "service/SharedInterfacePool.h"
+#include "support/RequestControl.h"
 #include "support/Statistic.h"
 
-#include <atomic>
 #include <condition_variable>
 #include <map>
 #include <memory>
@@ -67,24 +67,6 @@ struct ServiceConfig {
   unsigned MaxPooledInterfaces = 0;
   std::string CacheDir; ///< Disk tier below the memory tier; empty:
                         ///< memory-only.
-};
-
-/// Cooperative abandonment of one submitted request, for callers (the
-/// network daemon) that answer a client before the build machinery is
-/// done with the request.  Once abandon() is called, submit() returns an
-/// Aborted result at its next checkpoint — after queue admission, after
-/// discovery, after module locking — instead of compiling.  A build past
-/// its last checkpoint runs to completion (its result is simply
-/// discarded by the caller); mid-build preemption is deliberately not
-/// offered, because a half-run session would have to unwind shared
-/// interface state.  See DESIGN.md §11.
-class RequestControl {
-public:
-  void abandon() { Abandoned.store(true, std::memory_order_relaxed); }
-  bool abandoned() const { return Abandoned.load(std::memory_order_relaxed); }
-
-private:
-  std::atomic<bool> Abandoned{false};
 };
 
 /// The long-lived service.  Thread-safe: submit() may be called from any

@@ -246,6 +246,35 @@ TEST(FarmTest, KilledWorkerFailsOverWithoutClientVisibleFailure) {
   Coordinator.stop();
 }
 
+TEST(FarmTest, DeadlineExpiresDuringFailover) {
+  // PROTOCOL.md §6: the coordinator measures a BUILD's deadline itself, so
+  // a relay stuck in failover backoff still answers on time.
+  FarmFixture F;
+  farm::FarmConfig Config = F.config(1);
+  Config.HealthIntervalMs = 60000; // No respawn: every attempt fails.
+  Config.Retry.MaxRetries = 5;
+  Config.Retry.InitialBackoffMs = 200;
+  Config.Retry.MaxBackoffMs = 500;
+  farm::Farm Coordinator(Config);
+  std::string Err;
+  ASSERT_TRUE(Coordinator.start(Err)) << Err;
+  ASSERT_TRUE(Coordinator.killWorker(0));
+  auto Client =
+      net::RemoteClient::open((F.Dir / "farm.sock").string(), Err);
+  ASSERT_NE(Client, nullptr) << Err;
+
+  net::BuildRequestMsg Req;
+  Req.RequestId = Client->nextRequestId();
+  Req.DeadlineMs = 100; // Far shorter than the ~2 s of failover backoff.
+  Req.Roots = {F.Set.Projects[0].Root};
+  net::BuildResultMsg Result;
+  ASSERT_TRUE(Client->build(Req, Result, Err)) << Err;
+  EXPECT_EQ(Result.St, net::Status::DeadlineExceeded) << Result.Diagnostics;
+  EXPECT_EQ(counter(Coordinator.statsSnapshot(), "farm.requests.deadline"),
+            1u);
+  Coordinator.stop();
+}
+
 TEST(FarmTest, KilledWorkerIsRespawnedAndServesAgain) {
   FarmFixture F;
   farm::FarmConfig Config = F.config(2);

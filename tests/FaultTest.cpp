@@ -314,6 +314,7 @@ TEST(FaultTest, InjectedBuildFaultYieldsOneCleanInternalError) {
   EXPECT_EQ(Result2.St, net::Status::Ok) << Result2.Diagnostics;
   auto Stats = Server.statsSnapshot();
   EXPECT_EQ(counter(Stats, "net.requests.faulted"), 1u);
+  EXPECT_EQ(counter(Stats, "net.requests.failed"), 0u);
   EXPECT_EQ(counter(Stats, "fault.injected.daemon.build"), 1u);
   Server.stop();
 }
