@@ -228,12 +228,10 @@ BuildResult BuildSession::buildImpl(const std::vector<std::string> &Roots,
       Exec = OwnedExec.get();
     }
 
-    TaskSpawner Spawner(*Exec);
-    std::shared_ptr<void> Tag;
+    std::shared_ptr<void> Tag = Service ? Service->openRequest() : nullptr;
+    TaskSpawner Spawner(*Exec, Tag);
     std::optional<TaskSpawner::RequestTagScope> TagScope;
     if (Service) {
-      Tag = Service->openRequest();
-      Spawner.setService(Tag);
       // Setup below runs on this (non-task) thread and can first-touch
       // shared interface streams through the pool's untagged spawner;
       // the scope charges those spawns to this request so awaitRequest()
@@ -277,7 +275,6 @@ BuildResult BuildSession::buildImpl(const std::vector<std::string> &Roots,
       Defs->quiesce();
       Service->closeRequest(Tag);
     } else {
-      Spawner.enterRun();
       Exec->run();
     }
 

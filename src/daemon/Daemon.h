@@ -46,9 +46,11 @@ struct DaemonConfig {
   /// Connections allowed concurrently; beyond this, accepts are answered
   /// ERROR REJECTED_OVERLOAD and closed (PROTOCOL.md §10).
   unsigned MaxConnections = 32;
-  /// Builds queued-or-running daemon-wide; beyond this, BUILDs are
-  /// answered BUILD_RESULT REJECTED_OVERLOAD — the 429-style shed that
-  /// keeps the service's FIFO turnstile from growing an unbounded line.
+  /// Builds in flight daemon-wide; beyond this, BUILDs are answered
+  /// BUILD_RESULT REJECTED_OVERLOAD.  This 429-style shed is the one
+  /// bound in front of the service, and the one a build pool must
+  /// respect: an admitted build waits only on its module locks and the
+  /// executor's fair share.
   unsigned MaxPendingBuilds = 16;
 
   /// Farm worker mode (PROTOCOL.md §14): the WELCOME server string

@@ -16,9 +16,9 @@
 //     -j N           workers of the shared executor (default 4)
 //     -dky S         avoidance | pessimistic | skeptical | optimistic
 //     -cache DIR     persistent disk cache below the in-memory tier
-//     -max-active N  concurrently *running* requests (FIFO beyond; default 8)
-//     -max-pending N queued-or-running bound; beyond it BUILDs are shed
-//                    with REJECTED_OVERLOAD (default 16)
+//     -max-pending N builds in flight, the daemon's one admission bound;
+//                    beyond it BUILDs are shed with REJECTED_OVERLOAD
+//                    (default 16)
 //     -max-conns N   concurrent connections; beyond it accepts are shed
 //                    (default 32)
 //     -mem-tier BYTES in-memory cache tier budget (default 64 MiB) — farm
@@ -55,9 +55,8 @@ void onTerm(int) { TermRequested = 1; }
 int usage() {
   std::fprintf(stderr,
                "usage: m2cd -socket PATH [-tcp PORT] [-C DIR] [-j N] "
-               "[-dky STRATEGY] [-cache DIR] [-max-active N] "
-               "[-max-pending N] [-max-conns N] [-mem-tier BYTES] "
-               "[-pool-cap N] [-worker]\n");
+               "[-dky STRATEGY] [-cache DIR] [-max-pending N] "
+               "[-max-conns N] [-mem-tier BYTES] [-pool-cap N] [-worker]\n");
   return 2;
 }
 
@@ -108,9 +107,6 @@ int main(int Argc, char **Argv) {
         return usage();
     } else if (Arg == "-cache" && I + 1 < Argc) {
       Config.Service.CacheDir = Argv[++I];
-    } else if (Arg == "-max-active") {
-      if (!IntArg(Config.Service.MaxActiveRequests))
-        return usage();
     } else if (Arg == "-max-pending") {
       if (!IntArg(Config.MaxPendingBuilds))
         return usage();
@@ -172,10 +168,9 @@ int main(int Argc, char **Argv) {
   if (Config.EnableTcp)
     std::printf("m2cd: listening on tcp:127.0.0.1:%u\n", Server.tcpPort());
   std::printf("m2cd: workspace '%s' (%zu files), %u workers, "
-              "%u max-active, %u max-pending, %u max-conns\n",
+              "%u max-pending, %u max-conns\n",
               Workspace.c_str(), Preloaded, Config.Service.Workers,
-              Config.Service.MaxActiveRequests, Config.MaxPendingBuilds,
-              Config.MaxConnections);
+              Config.MaxPendingBuilds, Config.MaxConnections);
   std::fflush(stdout);
 
   std::signal(SIGTERM, onTerm);

@@ -124,7 +124,6 @@ CompileResult ConcurrentCompiler::compile(std::string_view ModuleName) {
     CacheUnits += Ctx.elapsedUnits();
     CacheWallNs += WallSince(Start);
   }
-  Spawner.enterRun();
   Exec->run();
 
   // The merge task's incremental concatenation has already collected

@@ -17,6 +17,9 @@ using namespace m2c;
 using namespace m2c::farm;
 using namespace m2c::net;
 
+/// Spawn-to-ready budget of one worker.
+static constexpr std::chrono::milliseconds WorkerReadyTimeout{30000};
+
 Farm::Farm(FarmConfig Config)
     : Config(std::move(Config)),
       Server({this->Config.UnixSocketPath, this->Config.EnableTcp,
@@ -58,9 +61,9 @@ bool Farm::spawnWorker(WorkerSlot &Slot, std::string &Err) {
   if (!Slot.Proc)
     return false;
   // Interruptible readiness wait: probe in short slices so stop() never
-  // waits a full ReadyTimeoutMs behind a worker that will never come up.
-  auto Deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(Config.ReadyTimeoutMs);
+  // waits a full WorkerReadyTimeout behind a worker that will never come
+  // up.
+  auto Deadline = std::chrono::steady_clock::now() + WorkerReadyTimeout;
   for (;;) {
     if (waitWorkerReady(Slot.SocketPath, /*TimeoutMs=*/200, Err))
       break;
@@ -98,8 +101,6 @@ void Farm::healthLoop() {
       if (!Slot.Proc || Slot.Proc->alive())
         continue;
       FarmStats.add("farm.workers.died");
-      if (!Config.AutoRespawn)
-        continue;
       // The dead incarnation's parked connections point at a corpse;
       // clear them before anyone can check one out.
       Slot.Pool->clear();
@@ -301,12 +302,6 @@ std::optional<BuildResultMsg> Farm::relay(BuildRequestMsg Msg,
       return Result;
   }
 
-  // The client may have cancelled, or its deadline passed, while the fast
-  // path was failing; a failover for an already-answered request is pure
-  // waste.
-  if (Control.abandoned())
-    return std::nullopt;
-
   // Failover: rotate the remaining workers under the jittered backoff
   // policy.  Fresh connection per attempt (buildWithRetry's contract) —
   // pooled sockets into a dead incarnation are exactly what we are
@@ -317,7 +312,7 @@ std::optional<BuildResultMsg> Farm::relay(BuildRequestMsg Msg,
   };
   BuildResultMsg Result;
   RemoteBuildOutcome Outcome =
-      buildWithRetry(Provider, Msg, Config.Retry, Result);
+      buildWithRetry(Provider, Msg, Config.Retry, Result, &Control);
   for (const auto &[RetryCat, Count] : Outcome.Retries)
     FarmStats.add(std::string("farm.retries.") + errorCategoryName(RetryCat),
                   Count);
@@ -325,6 +320,10 @@ std::optional<BuildResultMsg> Farm::relay(BuildRequestMsg Msg,
     FarmStats.add("farm.requests.failover");
     return Result;
   }
+  // The client cancelled, or its deadline passed, and the server has
+  // answered it; the failover stopped before its next attempt.
+  if (Control.abandoned())
+    return std::nullopt;
 
   // Gave up: map the last failure category onto the protocol status the
   // client would have seen talking to a lone overloaded/draining/broken

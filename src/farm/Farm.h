@@ -86,9 +86,7 @@ struct FarmConfig {
                             /*MaxBackoffMs=*/500, /*Jitter=*/0.5,
                             /*JitterSeed=*/0, /*OnBackoff=*/nullptr};
 
-  unsigned ReadyTimeoutMs = 30000; ///< Spawn-to-ready budget.
-  unsigned HealthIntervalMs = 100; ///< Liveness poll cadence.
-  bool AutoRespawn = true;         ///< Respawn dead workers.
+  unsigned HealthIntervalMs = 100; ///< Liveness poll / respawn cadence.
 };
 
 /// One running coordinator: owns the worker processes, their connection
@@ -127,7 +125,7 @@ public:
   pid_t workerPid(unsigned I);
 
   /// Chaos/testing hook: SIGKILL worker \p I (the health thread will
-  /// respawn it if AutoRespawn).  False if \p I is out of range.
+  /// respawn it).  False if \p I is out of range.
   bool killWorker(unsigned I);
 
   /// The farm's own counters (farm.*) plus pool usage.

@@ -39,14 +39,6 @@ std::unique_ptr<WorkerProcess> WorkerProcess::spawn(const WorkerSpec &Spec,
     Args.push_back("-cache");
     Args.push_back(Spec.CacheDir);
   }
-  if (Spec.MaxActive) {
-    Args.push_back("-max-active");
-    Args.push_back(std::to_string(Spec.MaxActive));
-  }
-  if (Spec.MaxPending) {
-    Args.push_back("-max-pending");
-    Args.push_back(std::to_string(Spec.MaxPending));
-  }
   if (Spec.MemTierBytes != static_cast<size_t>(-1)) {
     Args.push_back("-mem-tier");
     Args.push_back(std::to_string(Spec.MemTierBytes));
@@ -55,8 +47,6 @@ std::unique_ptr<WorkerProcess> WorkerProcess::spawn(const WorkerSpec &Spec,
     Args.push_back("-pool-cap");
     Args.push_back(std::to_string(Spec.PoolCap));
   }
-  for (const std::string &A : Spec.ExtraArgs)
-    Args.push_back(A);
 
   std::vector<char *> Argv;
   Argv.reserve(Args.size() + 1);
@@ -76,14 +66,12 @@ std::unique_ptr<WorkerProcess> WorkerProcess::spawn(const WorkerSpec &Spec,
     // spawner of this shape).
     for (const auto &[Name, Value] : Spec.Env)
       ::setenv(Name.c_str(), Value.c_str(), 1);
-    if (!Spec.InheritStdio) {
-      int Null = ::open("/dev/null", O_RDWR);
-      if (Null >= 0) {
-        ::dup2(Null, STDOUT_FILENO);
-        ::dup2(Null, STDERR_FILENO);
-        if (Null > STDERR_FILENO)
-          ::close(Null);
-      }
+    int Null = ::open("/dev/null", O_RDWR);
+    if (Null >= 0) {
+      ::dup2(Null, STDOUT_FILENO);
+      ::dup2(Null, STDERR_FILENO);
+      if (Null > STDERR_FILENO)
+        ::close(Null);
     }
     ::execvp(Argv[0], Argv.data());
     ::_exit(127);

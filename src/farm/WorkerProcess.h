@@ -9,11 +9,13 @@
 /// Spawning, health-checking and reaping one `m2cd -worker` process.
 /// The coordinator treats a worker as a fixed-size provisionable unit:
 /// every worker of a farm runs the same executable with the same
-/// resource bounds (-j, -mem-tier, -pool-cap, -max-*) over the same
-/// workspace and the same shared disk cache, differing only in its
-/// socket path.  The spawned process inherits the coordinator's
-/// environment, which is how an `M2C_FAULTS` plan reaches every worker's
-/// fault seams (FaultPlan.h installs from the environment before main).
+/// resource bounds (-j, -mem-tier, -pool-cap) over the same workspace and
+/// the same shared disk cache, differing only in its socket path.  The
+/// spawned process inherits the coordinator's environment, which is how
+/// an `M2C_FAULTS` plan reaches every worker's fault seams (FaultPlan.h
+/// installs from the environment before main); its stdout and stderr go
+/// to /dev/null, so N workers never interleave their startup chatter
+/// into the coordinator's terminal.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,15 +40,9 @@ struct WorkerSpec {
   std::string CacheDir; ///< Shared content-addressed disk store; empty:
                         ///< workers run memory-only and share nothing.
   unsigned Jobs = 2;
-  unsigned MaxActive = 0;  ///< 0: daemon default.
-  unsigned MaxPending = 0; ///< 0: daemon default.
   /// In-memory cache tier budget; SIZE_MAX keeps the daemon default.
   size_t MemTierBytes = static_cast<size_t>(-1);
   unsigned PoolCap = 0; ///< SharedInterfacePool bound; 0: unbounded.
-  /// false: worker stdout/stderr go to /dev/null (a 4-worker farm would
-  /// otherwise interleave startup chatter into the coordinator's tty).
-  bool InheritStdio = false;
-  std::vector<std::string> ExtraArgs; ///< Appended verbatim (-dky etc).
   /// Extra environment (NAME, VALUE) set in the child before exec, on
   /// top of the inherited environment.
   std::vector<std::pair<std::string, std::string>> Env;

@@ -268,9 +268,11 @@ unsigned m2c::net::backoffSleepMs(const RetryPolicy &Policy,
 RemoteBuildOutcome m2c::net::buildWithRetry(
     const std::function<std::string(unsigned Attempt)> &Address,
     const BuildRequestMsg &Req, const RetryPolicy &Policy,
-    BuildResultMsg &Out) {
+    BuildResultMsg &Out, const RequestControl *Ctrl) {
   RemoteBuildOutcome Outcome;
   for (unsigned Attempt = 0;; ++Attempt) {
+    if (Ctrl && Ctrl->abandoned())
+      return Outcome;
     ++Outcome.Attempts;
     ErrorCategory Cat = ErrorCategory::None;
     std::string Err;
@@ -310,5 +312,5 @@ RemoteBuildOutcome m2c::net::buildWithRetry(const std::string &Address,
                                             const RetryPolicy &Policy,
                                             BuildResultMsg &Out) {
   return buildWithRetry([&Address](unsigned) { return Address; }, Req, Policy,
-                        Out);
+                        Out, /*Ctrl=*/nullptr);
 }

@@ -19,6 +19,7 @@
 
 #include "net/Protocol.h"
 #include "net/Socket.h"
+#include "support/RequestControl.h"
 
 #include <functional>
 #include <map>
@@ -180,11 +181,13 @@ RemoteBuildOutcome buildWithRetry(const std::string &Address,
 /// As above, but the target address is chosen per attempt (0-based): the
 /// farm coordinator retries a killed worker's in-flight BUILDs on a
 /// sibling by rotating the provider over its healthy upstreams.  BUILD
-/// idempotence (above) is what makes cross-worker replay safe.
+/// idempotence (above) is what makes cross-worker replay safe.  Once a
+/// non-null \p Ctrl is abandoned (the client was answered already), it
+/// returns undelivered before making another attempt.
 RemoteBuildOutcome
 buildWithRetry(const std::function<std::string(unsigned Attempt)> &Address,
                const BuildRequestMsg &Req, const RetryPolicy &Policy,
-               BuildResultMsg &Out);
+               BuildResultMsg &Out, const RequestControl *Ctrl);
 
 } // namespace m2c::net
 

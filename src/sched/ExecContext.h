@@ -53,7 +53,8 @@ public:
   /// opposed to a plain SequentialContext on an ordinary thread).  Spawn
   /// routing uses this: submissions from inside executor tasks go through
   /// the context so the executor can apply its scheduling policy, while
-  /// submissions from service/request threads go to the executor directly.
+  /// submissions from setup and request threads go to the executor
+  /// directly.
   virtual bool isTaskContext() const { return false; }
 };
 

@@ -23,25 +23,7 @@ ThreadedExecutor::ThreadedExecutor(unsigned Processors, CostModel Model)
   assert(Processors > 0 && "need at least one processor");
 }
 
-ThreadedExecutor::~ThreadedExecutor() {
-  ShuttingDown.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> Lock(IdleM);
-    IdleCv.notify_all();
-  }
-  {
-    std::lock_guard<std::mutex> Lock(TokenM);
-    TokenCv.notify_all();
-  }
-  std::vector<std::thread> Done;
-  {
-    std::lock_guard<std::mutex> Lock(WorkersM);
-    Done.swap(Workers);
-  }
-  for (std::thread &W : Done)
-    if (W.joinable())
-      W.join();
-}
+ThreadedExecutor::~ThreadedExecutor() { stopWorkers(); }
 
 uint64_t ThreadedExecutor::nowNs() const {
   return static_cast<uint64_t>(
@@ -294,38 +276,14 @@ void ThreadedExecutor::finishRequestTask(const std::shared_ptr<void> &Tag) {
 void ThreadedExecutor::startService() {
   assert(!Started.load(std::memory_order_acquire) &&
          "executor already running");
-  RunStart = std::chrono::steady_clock::now();
   Serving.store(true, std::memory_order_release);
-  Started.store(true, std::memory_order_release);
-  std::lock_guard<std::mutex> Lock(WorkersM);
-  for (unsigned I = 0; I < Processors; ++I) {
-    unsigned Id = static_cast<unsigned>(Workers.size());
-    Workers.emplace_back([this, Id] { workerMain(Id); });
-  }
+  startWorkers();
 }
 
 void ThreadedExecutor::stopService() {
   if (!Serving.exchange(false, std::memory_order_acq_rel))
     return;
-  ShuttingDown.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> Idle(IdleM);
-    IdleCv.notify_all();
-  }
-  {
-    std::lock_guard<std::mutex> Token(TokenM);
-    TokenCv.notify_all();
-  }
-  std::vector<std::thread> Done;
-  {
-    std::lock_guard<std::mutex> W(WorkersM);
-    Done.swap(Workers);
-  }
-  for (std::thread &W : Done)
-    if (W.joinable())
-      W.join();
-  ShuttingDown.store(false, std::memory_order_release);
-  Started.store(false, std::memory_order_release);
+  stopWorkers();
   ElapsedNs = nowNs();
   flushStats();
 }
@@ -344,11 +302,12 @@ std::shared_ptr<void> ThreadedExecutor::openRequest() {
 void ThreadedExecutor::awaitRequest(const std::shared_ptr<void> &Tag) {
   auto *RS = static_cast<RequestState *>(Tag.get());
   std::unique_lock<std::mutex> Lock(ReqDoneM);
-  // finishRequestTask() notifies under ReqDoneM after the decrement, and
-  // the predicate re-checks under the same lock, so wakeups cannot be
-  // lost; the timeout is a backstop.
-  while (RS->Incomplete.load(std::memory_order_acquire) != 0)
-    ReqDoneCv.wait_for(Lock, std::chrono::milliseconds(50));
+  // finishRequestTask() decrements first, then notifies under ReqDoneM;
+  // the predicate re-checks under the same lock, so the last task's
+  // wakeup cannot be lost.
+  ReqDoneCv.wait(Lock, [RS] {
+    return RS->Incomplete.load(std::memory_order_acquire) == 0;
+  });
 }
 
 void ThreadedExecutor::closeRequest(const std::shared_ptr<void> &Tag) {
@@ -441,18 +400,42 @@ void ThreadedExecutor::ensureWorkerForReadyWork() {
   CtWorkersSpawned.fetch_add(1, std::memory_order_relaxed);
 }
 
+void ThreadedExecutor::startWorkers() {
+  RunStart = std::chrono::steady_clock::now();
+  Started.store(true, std::memory_order_release);
+  std::lock_guard<std::mutex> Lock(WorkersM);
+  for (unsigned I = 0; I < Processors; ++I) {
+    unsigned Id = static_cast<unsigned>(Workers.size());
+    Workers.emplace_back([this, Id] { workerMain(Id); });
+  }
+}
+
+void ThreadedExecutor::stopWorkers() {
+  ShuttingDown.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> Lock(IdleM);
+    IdleCv.notify_all();
+  }
+  {
+    std::lock_guard<std::mutex> Lock(TokenM);
+    TokenCv.notify_all();
+  }
+  std::vector<std::thread> Done;
+  {
+    std::lock_guard<std::mutex> Lock(WorkersM);
+    Done.swap(Workers);
+  }
+  for (std::thread &W : Done)
+    if (W.joinable())
+      W.join();
+  ShuttingDown.store(false, std::memory_order_release);
+  Started.store(false, std::memory_order_release);
+}
+
 //===--- Main loops ---------------------------------------------------------===//
 
 void ThreadedExecutor::run() {
-  RunStart = std::chrono::steady_clock::now();
-  Started.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> Lock(WorkersM);
-    for (unsigned I = 0; I < Processors; ++I) {
-      unsigned Id = static_cast<unsigned>(Workers.size());
-      Workers.emplace_back([this, Id] { workerMain(Id); });
-    }
-  }
+  startWorkers();
 
   auto Quiescent = [this] {
     return Incomplete.load(std::memory_order_acquire) != 0 &&
@@ -489,25 +472,7 @@ void ThreadedExecutor::run() {
   }
   Lock.unlock();
 
-  ShuttingDown.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> Idle(IdleM);
-    IdleCv.notify_all();
-  }
-  {
-    std::lock_guard<std::mutex> Token(TokenM);
-    TokenCv.notify_all();
-  }
-  std::vector<std::thread> Done;
-  {
-    std::lock_guard<std::mutex> W(WorkersM);
-    Done.swap(Workers);
-  }
-  for (std::thread &W : Done)
-    if (W.joinable())
-      W.join();
-  ShuttingDown.store(false, std::memory_order_release);
-  Started.store(false, std::memory_order_release);
+  stopWorkers();
   ElapsedNs = nowNs();
   flushStats();
 }

@@ -192,6 +192,13 @@ private:
   /// workers' tasks are blocked in waits).
   void ensureWorkerForReadyWork();
 
+  /// Starts the clock and spawns the P initial workers (run() and
+  /// startService()).
+  void startWorkers();
+  /// Shuts every worker down, joins it and resets the lifecycle flags
+  /// (run(), stopService() and the destructor).
+  void stopWorkers();
+
   const unsigned Processors;
   const unsigned NumShards;
   const CostModel Model;

@@ -24,17 +24,14 @@ BuildService::BuildService(VirtualFileSystem &Files, StringInterner &Interner,
       Exec(Config.Workers, Config.Cost),
       Pool(Files, Interner, Exec,
            sema::CompilationOptions{Config.Strategy, Config.Sharing},
-           Config.MaxPooledInterfaces),
-      Queue(Config.MaxActiveRequests) {
-  if (Config.UseCache) {
-    std::unique_ptr<cache::CacheStore> Disk;
-    if (!Config.CacheDir.empty())
-      Disk = std::make_unique<cache::DiskCacheStore>(Config.CacheDir);
-    auto TierPtr = std::make_unique<MemoryCacheTier>(std::move(Disk),
-                                                     Config.MemoryTierBytes);
-    Tier = TierPtr.get();
-    Cache = std::make_unique<cache::CompilationCache>(std::move(TierPtr));
-  }
+           Config.MaxPooledInterfaces) {
+  std::unique_ptr<cache::CacheStore> Disk;
+  if (!Config.CacheDir.empty())
+    Disk = std::make_unique<cache::DiskCacheStore>(Config.CacheDir);
+  auto TierPtr = std::make_unique<MemoryCacheTier>(std::move(Disk),
+                                                   Config.MemoryTierBytes);
+  Tier = TierPtr.get();
+  Cache = std::make_unique<cache::CompilationCache>(std::move(TierPtr));
   Exec.startService();
 }
 
@@ -72,22 +69,20 @@ build::BuildResult BuildService::submit(const std::vector<std::string> &Roots,
                                         const RequestControl *Ctrl,
                                         std::optional<opt::OptLevel> Level) {
   using Clock = std::chrono::steady_clock;
-  RequestQueue::Scoped Admitted(Queue);
   ServiceStats.add("service.requests.submitted");
 
   // Admission failpoint: models a request thread dying between admission
-  // and compilation (resource exhaustion, a bug in setup code).  All
-  // request-scoped state above is RAII, so the unwind releases the
-  // admitted slot; the daemon maps the exception to a clean Internal
-  // reply.
+  // and compilation (resource exhaustion, a bug in setup code).  The
+  // server maps the exception to a clean Internal reply.
   if (M2C_FAULT_HIT("service.admit").fail()) {
     ServiceStats.add("service.requests.faulted");
     throw fault::InjectedFault("service.admit");
   }
 
-  // Abandonment checkpoints: the daemon may have answered the client
-  // (deadline, cancel) while this request sat in the FIFO turnstile —
-  // compiling it now would only burn the admitted slot.
+  // Abandonment checkpoints — on entry, after discovery and after the
+  // module locks: the server may have answered the client (deadline,
+  // cancel) while this request waited, and compiling it now would only
+  // take executor time from live requests.
   auto Abandoned = [this, Ctrl] {
     if (!Ctrl || !Ctrl->abandoned())
       return false;
@@ -181,15 +176,12 @@ std::map<std::string, uint64_t> BuildService::statsSnapshot() {
     for (const auto &[Name, Value] : From)
       Merged[Name] += Value;
   };
-  if (Cache)
-    Fold(Cache->stats().snapshot());
-  if (Tier) {
-    Fold(Tier->stats().snapshot());
-    // Disk-store integrity counters (cache.disk.*): corrupt entries healed
-    // on read, orphaned temps swept at startup.
-    if (auto *Disk = dynamic_cast<cache::DiskCacheStore *>(Tier->backing()))
-      Fold(Disk->stats().snapshot());
-  }
+  Fold(Cache->stats().snapshot());
+  Fold(Tier->stats().snapshot());
+  // Disk-store integrity counters (cache.disk.*): corrupt entries healed
+  // on read, orphaned temps swept at startup.
+  if (auto *Disk = dynamic_cast<cache::DiskCacheStore *>(Tier->backing()))
+    Fold(Disk->stats().snapshot());
   Fold(ServiceStats.snapshot());
   Merged["service.generations"] = Pool.generationCount();
   Merged["service.pool.caprotations"] = Pool.capRotationCount();

@@ -13,8 +13,7 @@
 /// oversubscribed executor — plus the shared artifact tiers that amortize
 /// per-request startup cost:
 ///
-///   request -> RequestQueue (FIFO admission, bounded concurrency)
-///           -> SharedInterfacePool (interfaces parsed once per service)
+///   request -> SharedInterfacePool (interfaces parsed once per service)
 ///           -> BuildSession on the shared executor (fair-share tokens)
 ///           -> MemoryCacheTier -> DiskCacheStore -> compile
 ///
@@ -32,7 +31,6 @@
 #include "sched/CostModel.h"
 #include "sched/ThreadedExecutor.h"
 #include "service/MemoryCacheTier.h"
-#include "service/RequestQueue.h"
 #include "service/SharedInterfacePool.h"
 #include "support/RequestControl.h"
 #include "support/Statistic.h"
@@ -57,8 +55,6 @@ struct ServiceConfig {
   /// (a BUILD request may carry a per-request level).
   opt::OptLevel Level = opt::defaultOptLevel();
   sched::CostModel Cost;
-  unsigned MaxActiveRequests = 8; ///< FIFO admission bound.
-  bool UseCache = true;           ///< Artifact tiers on/off.
   size_t MemoryTierBytes = static_cast<size_t>(64) << 20;
   /// Bound on distinct .def files one SharedInterfacePool generation may
   /// accumulate (0 = unbounded).  Farm workers run bounded so a worker
@@ -79,11 +75,11 @@ public:
   BuildService(const BuildService &) = delete;
   BuildService &operator=(const BuildService &) = delete;
 
-  /// Builds \p Roots as one request: FIFO admission, shared interface
-  /// generation, session on the shared executor, tiered cache.  Blocks
-  /// the calling thread until the request completes.  A non-null \p Ctrl
-  /// lets the caller abandon the request between phases (the result then
-  /// has Aborted set and nothing was compiled or cached for it).
+  /// Builds \p Roots as one request: shared interface generation, session
+  /// on the shared executor, tiered cache.  Blocks the calling thread
+  /// until the request completes.  A non-null \p Ctrl lets the caller
+  /// abandon the request between phases (the result then has Aborted set
+  /// and nothing was compiled or cached for it).
   /// \p Level overrides the service's default optimization level for this
   /// request only; cache keys embed the level, so requests at different
   /// levels never share entries.
@@ -102,8 +98,6 @@ public:
 
   const ServiceConfig &config() const { return Config; }
   sched::ThreadedExecutor &executor() { return Exec; }
-  cache::CompilationCache *cache() { return Cache.get(); }
-  MemoryCacheTier *memoryTier() { return Tier; }
   SharedInterfacePool &interfacePool() { return Pool; }
 
 private:
@@ -140,7 +134,6 @@ private:
   MemoryCacheTier *Tier = nullptr; ///< Owned by Cache (as its store).
   std::unique_ptr<cache::CompilationCache> Cache;
   SharedInterfacePool Pool;
-  RequestQueue Queue;
   StatisticSet ServiceStats;
 
   std::mutex InFlightM;

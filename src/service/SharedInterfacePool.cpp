@@ -28,11 +28,10 @@ void SharedInterfacePool::rotateLocked() {
   }
   auto Gen = std::make_shared<InterfaceGeneration>();
   Gen->Comp = std::make_shared<sema::Compilation>(Files, Interner, Options);
-  Gen->Spawner = std::make_unique<build::TaskSpawner>(Exec);
   // No request tag of its own: an interface task started from inside a
   // request's task inherits that request's tag through the worker
   // context, so awaitRequest covers the streams a request triggered.
-  Gen->Spawner->setService(nullptr);
+  Gen->Spawner = std::make_unique<build::TaskSpawner>(Exec);
   Gen->Defs = std::make_unique<build::InterfaceSet>(*Gen->Comp,
                                                     *Gen->Spawner);
   Current = std::move(Gen);

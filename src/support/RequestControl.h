@@ -9,12 +9,12 @@
 /// The one abandonment flag of one request.  A server (net::FrameServer)
 /// that answers a client early — a CANCEL, an expired deadline — sets it;
 /// the machinery behind the request reads it at its natural pause points:
-/// BuildService::submit after queue admission, after discovery and after
-/// module locking, and a farm relay before it fails over.  Work past the
-/// last checkpoint runs to completion and its result is discarded;
-/// mid-build preemption is deliberately not offered, because a half-run
-/// session would have to unwind shared interface state.  See DESIGN.md
-/// §11.
+/// BuildService::submit on entry, after discovery and after module
+/// locking, and a farm relay's failover loop (net::buildWithRetry) before
+/// each attempt.  Work past the last checkpoint runs to completion and
+/// its result is discarded; mid-build preemption is deliberately not
+/// offered, because a half-run session would have to unwind shared
+/// interface state.  See DESIGN.md §11.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -427,7 +427,6 @@ TEST(BuildTest, DivergentCachePlanIsDroppedGracefully) {
     build::ModulePipeline Pipe(Options, *Comp, "Calc", Spawner);
     Pipe.setPlan(&Plan);
     EXPECT_TRUE(Pipe.setup());
-    Spawner.enterRun();
     Exec.run();
 
     EXPECT_TRUE(Pipe.planDropped());

@@ -273,6 +273,7 @@ TEST(FarmTest, DeadlineExpiresDuringFailover) {
   EXPECT_EQ(counter(Coordinator.statsSnapshot(), "farm.requests.deadline"),
             1u);
   Coordinator.stop();
+  EXPECT_EQ(counter(Coordinator.statsSnapshot(), "farm.requests.gaveup"), 0u);
 }
 
 TEST(FarmTest, KilledWorkerIsRespawnedAndServesAgain) {
