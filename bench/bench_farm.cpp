@@ -28,7 +28,7 @@
 // cold standalone BuildSession over the same file state (base workspace
 // plus that request's pushed edit), diagnostics included.
 //
-// Results go to stdout and BENCH_farm.json (committed per PR).
+// Results go to stdout; a failed gate exits non-zero.
 //
 //   bench_farm [--quick] [--chaos]
 //     --quick: fewer projects/requests, workers {1,2}, no scaling bar
@@ -267,9 +267,6 @@ int main(int Argc, char **Argv) {
 
   //===--- Per-farm-size measurement ---------------------------------------===//
   std::map<unsigned, double> ReplayRps, EditRps;
-  std::map<unsigned, uint64_t> CapRotations;
-  uint64_t ChaosFailovers = 0;
-  bool ChaosRan = false;
 
   auto runFarmSize = [&](unsigned W, bool KillWorkers) {
     std::string Tag = std::to_string(W) + (KillWorkers ? "chaos" : "");
@@ -414,8 +411,6 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(
                     stat(Stats, "farm.workers.respawned")));
     if (KillWorkers) {
-      ChaosFailovers = stat(Stats, "farm.requests.failover");
-      ChaosRan = true;
       if (!stat(Stats, "farm.workers.respawned")) {
         std::fprintf(stderr, "FATAL: chaos run respawned no worker\n");
         std::exit(1);
@@ -423,7 +418,6 @@ int main(int Argc, char **Argv) {
     } else {
       ReplayRps[W] = RRps;
       EditRps[W] = ERps;
-      CapRotations[W] = stat(Stats, "service.pool.caprotations");
     }
   };
 
@@ -440,30 +434,6 @@ int main(int Argc, char **Argv) {
   std::printf("  scaling %u vs 1 worker: pure replay %.2fx, warm+edit "
               "%.2fx\n",
               WMax, ReplayScaling, EditScaling);
-
-  std::ofstream Json("BENCH_farm.json");
-  Json << "{\n"
-       << "  \"name\": \"bench_farm\",\n"
-       << "  \"quick\": " << (Quick ? "true" : "false") << ",\n"
-       << "  \"chaos\": " << (ChaosRan ? "true" : "false") << ",\n"
-       << "  \"projects\": " << Spec.NumProjects << ",\n"
-       << "  \"requests\": " << N << ",\n"
-       << "  \"clients\": " << Clients << ",\n"
-       << "  \"worker_jobs\": " << WorkerJobs << ",\n"
-       << "  \"pool_cap\": " << PoolCap << ",\n"
-       << "  \"mem_tier_bytes\": " << MemTierBytes << ",\n"
-       << "  \"byte_identity\": true,\n";
-  for (unsigned W : WorkerCounts)
-    Json << "  \"replay_requests_per_s_w" << W << "\": " << ReplayRps[W]
-         << ",\n"
-         << "  \"warm_edit_requests_per_s_w" << W << "\": " << EditRps[W]
-         << ",\n"
-         << "  \"cap_rotations_w" << W << "\": " << CapRotations[W] << ",\n";
-  Json << "  \"replay_scaling\": " << ReplayScaling << ",\n"
-       << "  \"warm_edit_scaling\": " << EditScaling << ",\n"
-       << "  \"chaos_failovers\": " << ChaosFailovers << "\n"
-       << "}\n";
-  std::printf("wrote BENCH_farm.json\n");
 
   std::error_code EC;
   std::filesystem::remove_all(Dir, EC);

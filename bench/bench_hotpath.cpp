@@ -6,12 +6,10 @@
 // Isolates the per-token / per-node costs the allocation-lean rework
 // targets: token block queue round trips (pooled vs heap blocks), arena
 // vs malloc object allocation, interner hits and misses, and symbol-table
-// inserts.  Emits BENCH_hotpath.json alongside the console report so the
-// numbers are tracked across PRs.
+// inserts.
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchJson.h"
 #include "BenchSupport.h"
 
 #include "lex/TokenBlockQueue.h"
@@ -160,5 +158,7 @@ BENCHMARK(BM_ScopeInsert)->Unit(benchmark::kMicrosecond);
 
 int main(int argc, char **argv) {
   verifyMcoByteIdentity(fixture(), "Suite18");
-  return runBenchmarksWithJson(argc, argv, "BENCH_hotpath.json");
+  benchmark::Initialize(&argc, argv);
+  benchmark::RunSpecifiedBenchmarks();
+  return 0;
 }

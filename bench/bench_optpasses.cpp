@@ -17,7 +17,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchJson.h"
 #include "BenchSupport.h"
 
 #include "opt/PassManager.h"
@@ -194,5 +193,7 @@ int main(int argc, char **argv) {
   std::printf("behaviour: Hot output identical at O0/O1/O2; "
               "instrs %zu (O0) -> %zu (O2)  OK\n\n",
               hot(opt::OptLevel::O0).Instrs, hot(opt::OptLevel::O2).Instrs);
-  return runBenchmarksWithJson(argc, argv, "BENCH_optpasses.json");
+  benchmark::Initialize(&argc, argv);
+  benchmark::RunSpecifiedBenchmarks();
+  return 0;
 }

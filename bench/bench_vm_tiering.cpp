@@ -22,7 +22,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchJson.h"
 #include "BenchSupport.h"
 
 #include "vm/VM.h"
@@ -232,5 +231,7 @@ int main(int argc, char **argv) {
               "tier-1 speedup: %.2fx (tier0 %.2f ms, tier1 %.2f ms; "
               "target >= 1.5x)\n\n",
               Tier0 / Tier1, Tier0 * 1e3, Tier1 * 1e3);
-  return runBenchmarksWithJson(argc, argv, "BENCH_vm_tiering.json");
+  benchmark::Initialize(&argc, argv);
+  benchmark::RunSpecifiedBenchmarks();
+  return 0;
 }

@@ -33,7 +33,8 @@
 // The plan is env-overridable: M2C_SOAK_FAULTS="<spec>" (or, failing
 // that, M2C_FAULTS) replaces the default mix — same grammar, see
 // src/fault/FaultPlan.h.  Goldens are always computed with injection
-// disarmed.  Results go to stdout and BENCH_soak_service.json.
+// disarmed.  Results go to stdout, ending in one PASS or FAIL line; the
+// exit code is 0 only on PASS.
 //
 //===----------------------------------------------------------------------===//
 
@@ -398,27 +399,7 @@ int main(int Argc, char **Argv) {
   Check(Second.Corrupt == 0, "no corrupt cache entries survive healing");
   Check(TempDebris == 0, "no temp debris in the cache directory");
 
-  std::ofstream Json("BENCH_soak_service.json");
-  Json << "{\n"
-       << "  \"name\": \"soak_service\",\n"
-       << "  \"quick\": " << (Quick ? "true" : "false") << ",\n"
-       << "  \"farm\": " << (FarmMode ? "true" : "false") << ",\n"
-       << "  \"farm_workers\": " << (FarmMode ? FarmWorkers : 0) << ",\n"
-       << "  \"farm_failovers\": " << Failovers << ",\n"
-       << "  \"farm_respawns\": " << Respawns << ",\n"
-       << "  \"requests\": " << T.Issued.load() << ",\n"
-       << "  \"ok\": " << T.Ok.load() << ",\n"
-       << "  \"compile_failed\": " << T.CompileFailed.load() << ",\n"
-       << "  \"gave_up\": " << T.GaveUp.load() << ",\n"
-       << "  \"retries\": " << T.Retries.load() << ",\n"
-       << "  \"faults_injected\": " << Injected << ",\n"
-       << "  \"mismatches\": " << T.Mismatches.load() << ",\n"
-       << "  \"cache_healed\": " << First.Healed << ",\n"
-       << "  \"wall_ms\": " << Ms << ",\n"
-       << "  \"pass\": " << (Pass ? "true" : "false") << "\n"
-       << "}\n";
-  std::printf("%s; wrote BENCH_soak_service.json\n",
-              Pass ? "PASS" : "FAIL");
+  std::printf("%s\n", Pass ? "PASS" : "FAIL");
 
   fs::remove_all(CacheDir);
   std::error_code EC;

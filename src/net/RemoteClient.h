@@ -8,9 +8,10 @@
 /// \file
 /// The client side of docs/PROTOCOL.md: connect + HELLO/WELCOME, then
 /// synchronous or pipelined builds, cancellation, stats and ping.  Used
-/// by `m2c_cli -remote`, DaemonTest and bench_daemon.  One RemoteClient
-/// is one connection and is NOT thread-safe; concurrency comes from
-/// opening several clients (the daemon multiplexes them server-side).
+/// by `m2c_cli -remote`, DaemonTest, the farm and m2cbench.  One
+/// RemoteClient is one connection and is NOT thread-safe; concurrency
+/// comes from opening several clients (the daemon multiplexes them
+/// server-side).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -126,6 +126,10 @@ VM::Flow VM::runTier1(Exec &E, const tier::TierUnit *Entry, RunResult &Result,
 #define CASE(Name) case T1Op::Name:
 #define DISPATCH() goto DispatchTop
 #endif
+// GCC runs no destructors when a computed goto leaves a block, so a Value
+// local still in scope at NEXT() would leak the shared_ptr it holds.  Every
+// op block therefore closes before its NEXT() (or DISPATCH()); a jump from
+// inside a block may only leave trivially destructible locals behind.
 #define NEXT()                                                                 \
   do {                                                                         \
     ++Ip;                                                                      \
@@ -183,8 +187,8 @@ DispatchTop:
   CASE(StoreLocal) {
     Value V = Pop();
     assignInto(F->Slots[static_cast<size_t>(I->A)], std::move(V));
-    NEXT();
   }
+  NEXT();
 
   CASE(LoadLocalRef)
   Stack.push_back(
@@ -211,8 +215,8 @@ DispatchTop:
     } else {
       Stack.push_back(Value(Address{&Slot, nullptr, 0}));
     }
-    NEXT();
   }
+  NEXT();
 
   CASE(LoadGlobal)
   CASE(StoreGlobal)
@@ -232,8 +236,8 @@ DispatchTop:
     } else {
       Stack.push_back(Value(Address{&Slot, nullptr, 0}));
     }
-    NEXT();
   }
+  NEXT();
 
   //===--- Address plumbing -----------------------------------------------===//
 
@@ -243,8 +247,8 @@ DispatchTop:
     if (!Addr)
       return Fail(I->Pc0 + 1, "LoadIndirect on a non-address");
     Stack.push_back(Addr->slot());
-    NEXT();
   }
+  NEXT();
 
   CASE(StoreIndirect) {
     Value V = Pop();
@@ -253,8 +257,8 @@ DispatchTop:
     if (!Addr)
       return Fail(I->Pc0 + 1, "StoreIndirect on a non-address");
     assignInto(Addr->slot(), std::move(V));
-    NEXT();
   }
+  NEXT();
 
   CASE(FieldAddr) {
     Value AddrV = Pop();
@@ -268,8 +272,8 @@ DispatchTop:
       return Fail(I->Pc0 + 1, "field index out of range");
     Stack.push_back(
         Value(Address{nullptr, Agg->Obj, static_cast<size_t>(I->A)}));
-    NEXT();
   }
+  NEXT();
 
   CASE(IndexAddr) {
     int64_t Index = asOrdinal(Pop());
@@ -290,8 +294,8 @@ DispatchTop:
                                   "]");
     Stack.push_back(
         Value(Address{nullptr, Agg->Obj, static_cast<size_t>(Index - Low)}));
-    NEXT();
   }
+  NEXT();
 
   CASE(DerefAddr) {
     Value V = Pop();
@@ -301,8 +305,8 @@ DispatchTop:
     if (!Ptr->Cell)
       return Fail(I->Pc0 + 1, "dereference of NIL");
     Stack.push_back(Value(Address{nullptr, Ptr->Cell, 0}));
-    NEXT();
   }
+  NEXT();
 
   //===--- Aggregates -----------------------------------------------------===//
 
@@ -314,8 +318,8 @@ DispatchTop:
     auto Cell = std::make_shared<Object>();
     Cell->Slots.push_back(defaultValue(CU->Descs, static_cast<int32_t>(I->A)));
     Stack.push_back(Value(PtrRef{std::move(Cell)}));
-    NEXT();
   }
+  NEXT();
 
   CASE(DisposeCell) {
     Value AddrV = Pop();
@@ -323,44 +327,44 @@ DispatchTop:
     if (!Addr)
       return Fail(I->Pc0 + 1, "DISPOSE of a non-address");
     Addr->slot() = Value(PtrRef{nullptr});
-    NEXT();
   }
+  NEXT();
 
   //===--- Integer arithmetic ---------------------------------------------===//
 
   CASE(AddInt) {
     int64_t B = asOrdinal(Pop()), A = asOrdinal(Pop());
     Stack.push_back(Value(A + B));
-    NEXT();
   }
+  NEXT();
 
   CASE(SubInt) {
     int64_t B = asOrdinal(Pop()), A = asOrdinal(Pop());
     Stack.push_back(Value(A - B));
-    NEXT();
   }
+  NEXT();
 
   CASE(MulInt) {
     int64_t B = asOrdinal(Pop()), A = asOrdinal(Pop());
     Stack.push_back(Value(A * B));
-    NEXT();
   }
+  NEXT();
 
   CASE(DivInt) {
     int64_t B = asOrdinal(Pop()), A = asOrdinal(Pop());
     if (B == 0)
       return Fail(I->Pc0 + 1, "integer division by zero");
     Stack.push_back(Value(A / B));
-    NEXT();
   }
+  NEXT();
 
   CASE(ModInt) {
     int64_t B = asOrdinal(Pop()), A = asOrdinal(Pop());
     if (B == 0)
       return Fail(I->Pc0 + 1, "MOD by zero");
     Stack.push_back(Value(A % B));
-    NEXT();
   }
+  NEXT();
 
   CASE(NegInt)
   Stack.back() = Value(-asOrdinal(Stack.back()));
@@ -369,8 +373,8 @@ DispatchTop:
   CASE(AbsInt) {
     int64_t A = asOrdinal(Stack.back());
     Stack.back() = Value(A < 0 ? -A : A);
-    NEXT();
   }
+  NEXT();
 
   CASE(IncAddr) {
     int64_t Delta = asOrdinal(Pop());
@@ -379,8 +383,8 @@ DispatchTop:
     if (!Addr)
       return Fail(I->Pc0 + 1, "INC/DEC of a non-address");
     Addr->slot() = Value(asOrdinal(Addr->slot()) + Delta);
-    NEXT();
   }
+  NEXT();
 
   CASE(Odd)
   Stack.back() = Value(int64_t{(asOrdinal(Stack.back()) & 1) != 0});
@@ -391,36 +395,36 @@ DispatchTop:
     if (C >= 'a' && C <= 'z')
       C = C - 'a' + 'A';
     Stack.back() = Value(C);
-    NEXT();
   }
+  NEXT();
 
   //===--- Real arithmetic ------------------------------------------------===//
 
   CASE(AddReal) {
     double B = asReal(Pop()), A = asReal(Pop());
     Stack.push_back(Value(A + B));
-    NEXT();
   }
+  NEXT();
 
   CASE(SubReal) {
     double B = asReal(Pop()), A = asReal(Pop());
     Stack.push_back(Value(A - B));
-    NEXT();
   }
+  NEXT();
 
   CASE(MulReal) {
     double B = asReal(Pop()), A = asReal(Pop());
     Stack.push_back(Value(A * B));
-    NEXT();
   }
+  NEXT();
 
   CASE(DivReal) {
     double B = asReal(Pop()), A = asReal(Pop());
     if (B == 0.0)
       return Fail(I->Pc0 + 1, "real division by zero");
     Stack.push_back(Value(A / B));
-    NEXT();
   }
+  NEXT();
 
   CASE(NegReal)
   Stack.back() = Value(-asReal(Stack.back()));
@@ -429,8 +433,8 @@ DispatchTop:
   CASE(AbsReal) {
     double A = asReal(Stack.back());
     Stack.back() = Value(A < 0 ? -A : A);
-    NEXT();
   }
+  NEXT();
 
   CASE(IntToReal)
   Stack.back() = Value(static_cast<double>(asOrdinal(Stack.back())));
@@ -445,34 +449,34 @@ DispatchTop:
   CASE(SetUnion) {
     uint64_t B = asSet(Pop()), A = asSet(Pop());
     Stack.push_back(Value(SetVal{A | B}));
-    NEXT();
   }
+  NEXT();
 
   CASE(SetDiff) {
     uint64_t B = asSet(Pop()), A = asSet(Pop());
     Stack.push_back(Value(SetVal{A & ~B}));
-    NEXT();
   }
+  NEXT();
 
   CASE(SetIntersect) {
     uint64_t B = asSet(Pop()), A = asSet(Pop());
     Stack.push_back(Value(SetVal{A & B}));
-    NEXT();
   }
+  NEXT();
 
   CASE(SetSymDiff) {
     uint64_t B = asSet(Pop()), A = asSet(Pop());
     Stack.push_back(Value(SetVal{A ^ B}));
-    NEXT();
   }
+  NEXT();
 
   CASE(SetIn) {
     uint64_t Set = asSet(Pop());
     int64_t Elem = asOrdinal(Pop());
     Stack.push_back(
         Value(int64_t{Elem >= 0 && Elem < 64 && ((Set >> Elem) & 1) != 0}));
-    NEXT();
   }
+  NEXT();
 
   CASE(SetAddBit) {
     int64_t Elem = asOrdinal(Pop());
@@ -481,8 +485,8 @@ DispatchTop:
       return Fail(I->Pc0 + 1, "set element " + std::to_string(Elem) +
                                   " out of range 0..63");
     Stack.push_back(Value(SetVal{Set | (uint64_t{1} << Elem)}));
-    NEXT();
   }
+  NEXT();
 
   CASE(SetAddRange) {
     int64_t Hi = asOrdinal(Pop());
@@ -493,8 +497,8 @@ DispatchTop:
     for (int64_t It = Lo; It <= Hi; ++It)
       Set |= uint64_t{1} << It;
     Stack.push_back(Value(SetVal{Set}));
-    NEXT();
   }
+  NEXT();
 
   CASE(SetIncl)
   CASE(SetExcl) {
@@ -511,8 +515,8 @@ DispatchTop:
     else
       Set &= ~(uint64_t{1} << Elem);
     Addr->slot() = Value(SetVal{Set});
-    NEXT();
   }
+  NEXT();
 
   //===--- Comparisons ----------------------------------------------------===//
 
@@ -520,8 +524,8 @@ DispatchTop:
   CASE(OP) {                                                                   \
     int64_t B = asOrdinal(Pop()), A = asOrdinal(Pop());                        \
     Stack.push_back(Value(int64_t{(EXPR) ? 1 : 0}));                           \
-    NEXT();                                                                    \
-  }
+  }                                                                            \
+  NEXT();
   T1_INT_CMP(CmpEqInt, A == B)
   T1_INT_CMP(CmpNeInt, A != B)
   T1_INT_CMP(CmpLtInt, A < B)
@@ -534,8 +538,8 @@ DispatchTop:
   CASE(OP) {                                                                   \
     double B = asReal(Pop()), A = asReal(Pop());                               \
     Stack.push_back(Value(int64_t{(EXPR) ? 1 : 0}));                           \
-    NEXT();                                                                    \
-  }
+  }                                                                            \
+  NEXT();
   T1_REAL_CMP(CmpEqReal, A == B)
   T1_REAL_CMP(CmpNeReal, A != B)
   T1_REAL_CMP(CmpLtReal, A < B)
@@ -557,8 +561,8 @@ DispatchTop:
     };
     bool Eq = CellOf(A) == CellOf(B);
     Stack.push_back(Value(int64_t{(I->Op == T1Op::CmpEqPtr) == Eq ? 1 : 0}));
-    NEXT();
   }
+  NEXT();
 
   CASE(NotBool)
   Stack.back() = Value(int64_t{asOrdinal(Stack.back()) == 0 ? 1 : 0});
@@ -671,8 +675,8 @@ DispatchTop:
       return Fail(I->Pc0 + 1, "value " + std::to_string(V) +
                                   " outside range " + std::to_string(I->A) +
                                   ".." + std::to_string(I->B));
-    NEXT();
   }
+  NEXT();
 
   CASE(ArrayHigh) {
     Value V = Pop();
@@ -684,8 +688,8 @@ DispatchTop:
     } else {
       return Fail(I->Pc0 + 1, "HIGH of a non-array value");
     }
-    NEXT();
   }
+  NEXT();
 
   CASE(Dup)
   Stack.push_back(Stack.back());
@@ -717,27 +721,27 @@ DispatchTop:
     int64_t A = asOrdinal(F->Slots[static_cast<size_t>(I->A)]);
     int64_t B = asOrdinal(F->Slots[static_cast<size_t>(I->B)]);
     F->Slots[static_cast<size_t>(I->C)] = Value(applyBin(I->Kind, A, B));
-    NEXT();
   }
+  NEXT();
 
   CASE(FusedLIBS) {
     int64_t A = asOrdinal(F->Slots[static_cast<size_t>(I->A)]);
     F->Slots[static_cast<size_t>(I->C)] = Value(applyBin(I->Kind, A, I->B));
-    NEXT();
   }
+  NEXT();
 
   CASE(FusedLLB) {
     int64_t A = asOrdinal(F->Slots[static_cast<size_t>(I->A)]);
     int64_t B = asOrdinal(F->Slots[static_cast<size_t>(I->B)]);
     Stack.push_back(Value(applyBin(I->Kind, A, B)));
-    NEXT();
   }
+  NEXT();
 
   CASE(FusedLIB) {
     int64_t A = asOrdinal(F->Slots[static_cast<size_t>(I->A)]);
     Stack.push_back(Value(applyBin(I->Kind, A, I->B)));
-    NEXT();
   }
+  NEXT();
 
   CASE(FusedLLCmpBr) {
     int64_t A = asOrdinal(F->Slots[static_cast<size_t>(I->A)]);
@@ -746,8 +750,8 @@ DispatchTop:
       Ip = static_cast<size_t>(I->C);
     else
       ++Ip;
-    DISPATCH();
   }
+  DISPATCH();
 
   CASE(FusedLICmpBr) {
     int64_t A = asOrdinal(F->Slots[static_cast<size_t>(I->A)]);
@@ -755,8 +759,8 @@ DispatchTop:
       Ip = static_cast<size_t>(I->C);
     else
       ++Ip;
-    DISPATCH();
   }
+  DISPATCH();
 
   CASE(FusedStoreConst)
   F->Slots[static_cast<size_t>(I->A)] = Value(I->B);
@@ -767,8 +771,8 @@ DispatchTop:
     // (deep copy for aggregates, padding for string constants).
     Value V = F->Slots[static_cast<size_t>(I->A)];
     assignInto(F->Slots[static_cast<size_t>(I->C)], std::move(V));
-    NEXT();
   }
+  NEXT();
 
   CASE(FusedReturnLocal)
   RetVal = F->Slots[static_cast<size_t>(I->A)];

@@ -91,7 +91,7 @@ struct ServiceFixture {
 //===--- (a) Byte-identity across worker counts and arrival orders --------===//
 
 TEST(ServiceTest, ImagesMatchStandaloneAcrossWorkerCounts) {
-  for (unsigned Workers : {1u, 2u, 4u}) {
+  for (unsigned Workers : {1u, 2u, 4u, 8u}) {
     ServiceFixture F;
     workload::GeneratedRequestSet Set = F.makeRequestSet();
     std::map<std::string, std::map<std::string, std::string>> References;
