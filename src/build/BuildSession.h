@@ -104,7 +104,7 @@ struct BuildResult {
 /// definition module imported by many requests is parsed once per
 /// generation, not once per session.
 struct SessionExternals {
-  sched::ThreadedExecutor *Exec = nullptr; ///< Must be serving().
+  sched::ThreadedExecutor *Exec = nullptr; ///< The service's executor.
   std::shared_ptr<sema::Compilation> Comp; ///< The generation's compilation.
   InterfaceSet *SharedDefs = nullptr;      ///< The generation's interfaces.
   BuildGraph Graph;            ///< Pre-discovered by the service.

@@ -81,18 +81,17 @@ const char *m2c::sched::taskClassName(TaskClass Class) {
 
 namespace {
 thread_local ExecContext *CurrentCtx = nullptr;
-thread_local SequentialContext *FallbackCtx = nullptr;
 } // namespace
 
 ExecContext &m2c::sched::ctx() {
   if (CurrentCtx)
     return *CurrentCtx;
-  // Lazily create one fallback context per thread for code running outside
-  // any executor (unit tests, ad-hoc phase invocations).  Intentionally
-  // leaked at thread exit to keep the fast path trivial.
-  if (!FallbackCtx)
-    FallbackCtx = new SequentialContext();
-  return *FallbackCtx;
+  // One fallback context per thread for code running outside any executor
+  // (unit tests, ad-hoc phase invocations, a Compilation built on a client
+  // thread), created on first use and destroyed at thread exit.  Being
+  // function-local keeps the fast path above free of TLS init guards.
+  thread_local SequentialContext Fallback;
+  return Fallback;
 }
 
 ScopedContext::ScopedContext(ExecContext &Ctx) : Saved(CurrentCtx) {

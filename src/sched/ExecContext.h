@@ -46,9 +46,6 @@ public:
   /// Submits \p T for execution once its prerequisites are signaled.
   virtual void spawn(TaskPtr T) = 0;
 
-  /// The cost model in effect.
-  virtual const CostModel &costModel() const = 0;
-
   /// True when this context belongs to a task running on an executor (as
   /// opposed to a plain SequentialContext on an ordinary thread).  Spawn
   /// routing uses this: submissions from inside executor tasks go through
@@ -88,7 +85,6 @@ public:
   void wait(Event &E) override;
   void signal(Event &E) override;
   void spawn(TaskPtr T) override;
-  const CostModel &costModel() const override { return Model; }
 
   /// Runs queued tasks (in spawn order, honoring prerequisites) until none
   /// remain.  Aborts if progress stops with tasks still pending.

@@ -110,7 +110,6 @@ private:
     void wait(Event &E) override;
     void signal(Event &E) override;
     void spawn(TaskPtr T) override;
-    const CostModel &costModel() const override { return Exec.Model; }
     bool isTaskContext() const override { return true; }
 
   private:

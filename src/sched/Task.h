@@ -110,14 +110,15 @@ public:
                                            std::memory_order_acq_rel);
   }
 
-  /// Opaque handle of the build request this task belongs to (service
-  /// mode).  Null for tasks outside any request.  Set before the task is
+  /// Opaque handle of the threaded-executor request this task belongs to
+  /// (ThreadedExecutor::openRequest).  Null for untagged tasks, which
+  /// belong to the executor's default request.  Set before the task is
   /// spawned — either by the submitting TaskSpawner or inherited from the
   /// spawning task by the executor.
   const std::shared_ptr<void> &requestTag() const { return Request; }
   void setRequestTag(std::shared_ptr<void> Tag) { Request = std::move(Tag); }
 
-  /// Fair-share bookkeeping (service mode): a task charged to its
+  /// Fair-share bookkeeping (tagged tasks): a task charged to its
   /// request's concurrency-slot count at admission time holds the slot
   /// until it first blocks or completes, whichever comes first.
   /// markSlotHeld() records the charge (before the task can run, so it

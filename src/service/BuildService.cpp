@@ -21,7 +21,7 @@ using namespace m2c::service;
 BuildService::BuildService(VirtualFileSystem &Files, StringInterner &Interner,
                            ServiceConfig Config)
     : Files(Files), Interner(Interner), Config(Config),
-      Exec(Config.Workers, Config.Cost),
+      Exec(Config.Workers),
       Pool(Files, Interner, Exec,
            sema::CompilationOptions{Config.Strategy, Config.Sharing},
            Config.MaxPooledInterfaces) {
@@ -32,16 +32,6 @@ BuildService::BuildService(VirtualFileSystem &Files, StringInterner &Interner,
                                                    Config.MemoryTierBytes);
   Tier = TierPtr.get();
   Cache = std::make_unique<cache::CompilationCache>(std::move(TierPtr));
-  Exec.startService();
-}
-
-BuildService::~BuildService() { stop(); }
-
-void BuildService::stop() {
-  if (Stopped)
-    return;
-  Stopped = true;
-  Exec.stopService();
 }
 
 void BuildService::lockModules(const std::vector<std::string> &Modules) {
@@ -104,7 +94,7 @@ build::BuildResult BuildService::submit(const std::vector<std::string> &Roots,
   auto DiscStart = Clock::now();
   build::BuildGraph Graph;
   {
-    sched::SequentialContext Ctx(Config.Cost);
+    sched::SequentialContext Ctx;
     sched::ScopedContext Installed(Ctx);
     std::shared_ptr<InterfaceGeneration> Scratch = Pool.acquire({});
     Graph = build::BuildGraph::discover(Files, Interner,
@@ -149,7 +139,6 @@ build::BuildResult BuildService::submit(const std::vector<std::string> &Roots,
   Opts.Level = Level.value_or(Config.Level);
   Opts.Executor = driver::ExecutorKind::Threaded;
   Opts.Processors = Config.Workers;
-  Opts.Cost = Config.Cost;
   Opts.Cache = Cache.get();
 
   build::SessionExternals Ext;
@@ -170,7 +159,6 @@ build::BuildResult BuildService::submit(const std::vector<std::string> &Roots,
 }
 
 std::map<std::string, uint64_t> BuildService::statsSnapshot() {
-  Exec.flushStats();
   std::map<std::string, uint64_t> Merged = Exec.stats().snapshot();
   auto Fold = [&Merged](const std::map<std::string, uint64_t> &From) {
     for (const auto &[Name, Value] : From)

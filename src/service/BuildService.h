@@ -8,10 +8,10 @@
 /// \file
 /// A persistent, multi-tenant compilation service (DESIGN.md section 10).
 /// One BuildService owns exactly one work-stealing ThreadedExecutor whose
-/// workers stay alive across any number of concurrently submitted build
-/// requests — the opposite of every client constructing its own
-/// oversubscribed executor — plus the shared artifact tiers that amortize
-/// per-request startup cost:
+/// workers serve any number of concurrently submitted build requests —
+/// its own, so the service never shares tokens with the other compiles of
+/// its process — plus the shared artifact tiers that amortize per-request
+/// startup cost:
 ///
 ///   request -> SharedInterfacePool (interfaces parsed once per service)
 ///           -> BuildSession on the shared executor (fair-share tokens)
@@ -28,7 +28,6 @@
 
 #include "build/BuildSession.h"
 #include "cache/CompilationCache.h"
-#include "sched/CostModel.h"
 #include "sched/ThreadedExecutor.h"
 #include "service/MemoryCacheTier.h"
 #include "service/SharedInterfacePool.h"
@@ -54,7 +53,6 @@ struct ServiceConfig {
   /// Default optimization level for requests that don't name their own
   /// (a BUILD request may carry a per-request level).
   opt::OptLevel Level = opt::defaultOptLevel();
-  sched::CostModel Cost;
   size_t MemoryTierBytes = static_cast<size_t>(64) << 20;
   /// Bound on distinct .def files one SharedInterfacePool generation may
   /// accumulate (0 = unbounded).  Farm workers run bounded so a worker
@@ -71,7 +69,6 @@ class BuildService {
 public:
   BuildService(VirtualFileSystem &Files, StringInterner &Interner,
                ServiceConfig Config);
-  ~BuildService();
   BuildService(const BuildService &) = delete;
   BuildService &operator=(const BuildService &) = delete;
 
@@ -87,12 +84,8 @@ public:
                             const RequestControl *Ctrl = nullptr,
                             std::optional<opt::OptLevel> Level = std::nullopt);
 
-  /// Stops the executor and folds its counters into the stats.  Called by
-  /// the destructor; idempotent.  No submit() may be in flight.
-  void stop();
-
-  /// Merged service-level counters: the shared executor's sched.* (flushed
-  /// on demand), cache.* from both tiers, service.requests.*,
+  /// Merged service-level counters: the shared executor's sched.* (its
+  /// closed requests), cache.* from both tiers, service.requests.*,
   /// service.interface.*, service.generations.
   std::map<std::string, uint64_t> statsSnapshot();
 
@@ -139,8 +132,6 @@ private:
   std::mutex InFlightM;
   std::condition_variable InFlightCv;
   std::unordered_set<std::string> InFlightModules;
-
-  bool Stopped = false;
 };
 
 } // namespace m2c::service

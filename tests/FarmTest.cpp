@@ -97,6 +97,7 @@ struct FarmFixture {
     driver::CompilerOptions Options;
     Options.Executor = driver::ExecutorKind::Threaded;
     Options.Processors = 2;
+    Options.Level = opt::OptLevel::O0; // BUILD requests default to O0.
     build::BuildSession Session(Files, Interner, std::move(Options));
     return Session.build(Roots);
   }

@@ -278,6 +278,7 @@ struct DaemonFixture {
     driver::CompilerOptions Options;
     Options.Executor = driver::ExecutorKind::Threaded;
     Options.Processors = 4;
+    Options.Level = opt::OptLevel::O0; // BUILD requests default to O0.
     build::BuildSession Session(Files, Interner, std::move(Options));
     return Session.build(Roots);
   }

@@ -10,15 +10,19 @@
 //    merged image and diagnostics (splitting/merging is semantics-free);
 //  * the simulated executor is deterministic;
 //  * adding processors never slows a compilation down (in virtual time);
-//  * the threaded executor is stable across repeated runs.
+//  * the threaded executor is stable across repeated runs, and a compile
+//    on the shared executor counts only its own tasks.
 //
 //===----------------------------------------------------------------------===//
 
+#include "codegen/ObjectFile.h"
 #include "driver/ConcurrentCompiler.h"
 #include "driver/SequentialCompiler.h"
 #include "workload/WorkloadGenerator.h"
 
 #include <gtest/gtest.h>
+
+#include <thread>
 
 using namespace m2c;
 using namespace m2c::driver;
@@ -200,6 +204,86 @@ TEST(Property, ThreadedExecutorStableAcrossRuns) {
                 Reference.Image.Units[I].Code.size());
     }
     EXPECT_EQ(R.DiagnosticText, Reference.DiagnosticText);
+  }
+}
+
+// Threaded compiles are requests on one process-lifetime executor per
+// processor count, so a compile right after another starts no thread.
+// Pool has no procedure and no import: at P=1 none of its tasks ever
+// waits, so the first worker is all the pool needs.  (Where tasks block,
+// how many block at once varies between runs, and a later compile may
+// still add a thread.)
+TEST(Property, BackToBackThreadedCompilesReuseTheWorkers) {
+  VirtualFileSystem Files;
+  StringInterner Interner;
+  Files.addFile("Pool.mod", "MODULE Pool;\n"
+                            "VAR x: INTEGER;\n"
+                            "BEGIN\n"
+                            "  x := 6 * 7;\n"
+                            "  WriteInt(x, 0); WriteLn\n"
+                            "END Pool.\n");
+  for (unsigned P : {1u, 4u}) {
+    CompilerOptions O;
+    O.Executor = ExecutorKind::Threaded;
+    O.Processors = P;
+    CompileResult First =
+        ConcurrentCompiler(Files, Interner, O).compile("Pool");
+    CompileResult Second =
+        ConcurrentCompiler(Files, Interner, O).compile("Pool");
+    ASSERT_TRUE(First.Success && Second.Success) << Second.DiagnosticText;
+    EXPECT_EQ(codegen::writeObjectFile(First.Image, Interner),
+              codegen::writeObjectFile(Second.Image, Interner))
+        << "P=" << P;
+    if (P == 1) {
+      EXPECT_EQ(Second.SchedStats.at("sched.waits.handled") +
+                    Second.SchedStats.at("sched.waits.barrier"),
+                0u);
+      EXPECT_EQ(Second.SchedStats.at("sched.workers.spawned"), 0u);
+    }
+  }
+}
+
+// Two compiles running at once on the shared executor each count exactly
+// their own tasks and signals: the same figures as compiling alone.
+TEST(Property, ConcurrentThreadedCompilesCountOnlyTheirOwnTasks) {
+  VirtualFileSystem Files;
+  StringInterner Interner;
+  std::vector<workload::ModuleSpec> Suite =
+      workload::WorkloadGenerator::paperSuite();
+  const workload::ModuleSpec Specs[] = {Suite[20], Suite[30]};
+  for (const workload::ModuleSpec &Spec : Specs)
+    workload::WorkloadGenerator(Files).generate(Spec);
+
+  CompilerOptions O;
+  O.Executor = ExecutorKind::Threaded;
+  O.Processors = 4;
+  auto Counts = [](const CompileResult &R) {
+    return std::make_pair(R.SchedStats.at("sched.tasks.total"),
+                          R.SchedStats.at("sched.events.signaled"));
+  };
+  std::pair<uint64_t, uint64_t> Solo[2];
+  std::string SoloMco[2];
+  for (int I = 0; I < 2; ++I) {
+    CompileResult R =
+        ConcurrentCompiler(Files, Interner, O).compile(Specs[I].Name);
+    ASSERT_TRUE(R.Success) << R.DiagnosticText.substr(0, 800);
+    Solo[I] = Counts(R);
+    SoloMco[I] = codegen::writeObjectFile(R.Image, Interner);
+  }
+
+  for (int Round = 0; Round < 3; ++Round) {
+    CompileResult Both[2];
+    std::thread Peer([&] {
+      Both[1] = ConcurrentCompiler(Files, Interner, O).compile(Specs[1].Name);
+    });
+    Both[0] = ConcurrentCompiler(Files, Interner, O).compile(Specs[0].Name);
+    Peer.join();
+    for (int I = 0; I < 2; ++I) {
+      ASSERT_TRUE(Both[I].Success) << Specs[I].Name;
+      EXPECT_EQ(Counts(Both[I]), Solo[I]) << Specs[I].Name;
+      EXPECT_EQ(codegen::writeObjectFile(Both[I].Image, Interner), SoloMco[I])
+          << Specs[I].Name;
+    }
   }
 }
 

@@ -60,7 +60,6 @@ TierPolicy backgroundPolicy() {
   P.InvocationThreshold = 2;
   P.BackedgeThreshold = 2;
   P.Background = true;
-  P.PromoteWorkers = 2;
   return P;
 }
 
