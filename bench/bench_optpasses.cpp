@@ -7,8 +7,9 @@
 // time and what it buys at run time:
 //  * BM_CompileAtLevel — wall time of a threaded compile of a suite
 //    program at -O0 / -O1 / -O2 (the delta is the middle end's cost);
-//  * BM_PassPipelineOnly — the pass manager alone over pre-generated
-//    units, isolating pass cost from the rest of the compiler;
+//  * BM_PassPipelineOnly — the pass manager alone over a suite module's
+//    pre-generated units, isolating pass cost from the rest of the
+//    compiler;
 //  * BM_VmExecution — VM wall time of a copy/const/dead-store heavy
 //    program compiled at each level (the delta is the payoff).
 //
@@ -137,11 +138,12 @@ BENCHMARK(BM_CompileAtLevel)
 
 void BM_PassPipelineOnly(benchmark::State &State) {
   SuiteFixture &Suite = fixture();
-  opt::OptLevel Level = static_cast<opt::OptLevel>(State.range(0));
+  std::string Name = "Suite" + std::to_string(State.range(0));
+  opt::OptLevel Level = static_cast<opt::OptLevel>(State.range(1));
   // Generate the unoptimized units once; each iteration re-optimizes a
   // fresh copy, so the pass manager always sees pre-pipeline code.
   driver::CompileResult R =
-      Suite.compileConc("Suite18", optionsAt(opt::OptLevel::O0));
+      Suite.compileConc(Name, optionsAt(opt::OptLevel::O0));
   if (!R.Success) {
     State.SkipWithError("compile failed");
     return;
@@ -159,7 +161,15 @@ void BM_PassPipelineOnly(benchmark::State &State) {
   }
   State.counters["units"] = static_cast<double>(Units);
 }
-BENCHMARK(BM_PassPipelineOnly)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+// Suite18 is a median module (19 units); Suite4.P0 is the suite's largest
+// liveness problem (6073 instructions, 150 slots, 801 blocks); Suite36 is
+// the largest module (258 units, 97931 instructions at -O0).
+BENCHMARK(BM_PassPipelineOnly)
+    ->Args({18, 1})
+    ->Args({18, 2})
+    ->Args({4, 2})
+    ->Args({36, 2})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_VmExecution(benchmark::State &State) {
   opt::OptLevel Level = static_cast<opt::OptLevel>(State.range(0));

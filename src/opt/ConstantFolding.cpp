@@ -13,14 +13,13 @@
 /// constants feed the peephole pass's window folds.
 ///
 /// Safety (see Rewrite.h): address-taken slots are never tracked, any
-/// call clobbers every fact, and facts die at block leaders.
+/// call clobbers every fact, and facts die at block leaders.  Facts are
+/// one array indexed by slot, so the pass is two linear scans.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "opt/PassManager.h"
 #include "opt/Rewrite.h"
-
-#include <unordered_map>
 
 using namespace m2c;
 using namespace m2c::codegen;
@@ -36,23 +35,26 @@ public:
     std::vector<Instr> &Code = Unit.Code;
     if (Code.empty())
       return false;
-    const std::vector<bool> Leader = detail::blockLeaders(Code);
-    const std::vector<bool> Taken = detail::addressTakenLocals(Unit);
-    auto IsTaken = [&Taken](int64_t Slot) {
-      return Slot < 0 || static_cast<size_t>(Slot) >= Taken.size() ||
-             Taken[static_cast<size_t>(Slot)];
-    };
+    const detail::UnitScan Scan(Unit);
 
-    std::unordered_map<int64_t, int64_t> Known; // slot -> constant
+    // Known[x] holds while its Block equals the current one: a leader or
+    // a call starts a new block number instead of clearing every slot.
+    struct Fact {
+      uint32_t Block = 0;
+      int64_t Value = 0;
+    };
+    std::vector<Fact> Known(Scan.Slots);
+    uint32_t Block = 0;
     uint64_t Propagated = 0;
     for (size_t I = 0; I < Code.size(); ++I) {
-      if (Leader[I])
-        Known.clear();
+      if (Scan.leader(I))
+        ++Block;
       Instr &In = Code[I];
       if (In.Op == Opcode::LoadLocal) {
-        auto It = Known.find(In.A);
-        if (It != Known.end()) {
-          In = Instr{Opcode::PushInt, It->second, 0, 0.0};
+        if (!Scan.untrackable(In.A) &&
+            Known[static_cast<size_t>(In.A)].Block == Block) {
+          In = Instr{Opcode::PushInt, Known[static_cast<size_t>(In.A)].Value,
+                     0, 0.0};
           ++Propagated;
         }
         continue;
@@ -60,15 +62,15 @@ public:
       if (detail::isCall(In.Op)) {
         // A callee can reach this frame up-level through the static
         // link; every tracked fact dies.
-        Known.clear();
+        ++Block;
         continue;
       }
-      if (In.Op == Opcode::StoreLocal) {
-        if (I > 0 && !Leader[I] && Code[I - 1].Op == Opcode::PushInt &&
-            !IsTaken(In.A))
-          Known[In.A] = Code[I - 1].A;
+      if (In.Op == Opcode::StoreLocal && !Scan.untrackable(In.A)) {
+        Fact &F = Known[static_cast<size_t>(In.A)];
+        if (I > 0 && !Scan.leader(I) && Code[I - 1].Op == Opcode::PushInt)
+          F = Fact{Block, Code[I - 1].A};
         else
-          Known.erase(In.A);
+          F.Block = 0;
       }
     }
     if (Propagated)

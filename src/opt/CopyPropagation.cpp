@@ -26,8 +26,6 @@
 #include "opt/PassManager.h"
 #include "opt/Rewrite.h"
 
-#include <unordered_map>
-
 using namespace m2c;
 using namespace m2c::codegen;
 using namespace m2c::opt;
@@ -42,38 +40,48 @@ public:
     std::vector<Instr> &Code = Unit.Code;
     if (Code.empty())
       return false;
-    const std::vector<bool> Leader = detail::blockLeaders(Code);
-    const std::vector<bool> Taken = detail::addressTakenLocals(Unit);
-    auto IsTaken = [&Taken](int64_t Slot) {
-      return Slot < 0 || static_cast<size_t>(Slot) >= Taken.size() ||
-             Taken[static_cast<size_t>(Slot)];
+    const detail::UnitScan Scan(Unit);
+
+    // Per slot x: the copy fact x == Src, valid while Block equals the
+    // current block number (a leader or a call starts a new one) and Src
+    // has not been stored to since (SrcVersion equals Src's Version, which
+    // every store to Src bumps).  Killing a slot is then O(1): no walk
+    // over the facts that name it.
+    struct Slot {
+      int64_t Src = 0;
+      uint32_t Block = 0;
+      uint32_t SrcVersion = 0;
+      uint32_t Version = 0;
+    };
+    std::vector<Slot> Slots(Scan.Slots);
+    uint32_t Block = 0;
+    auto CopyOf = [&](int64_t X) -> const Slot * {
+      if (Scan.untrackable(X))
+        return nullptr;
+      const Slot &S = Slots[static_cast<size_t>(X)];
+      return S.Block == Block &&
+                     S.SrcVersion == Slots[static_cast<size_t>(S.Src)].Version
+                 ? &S
+                 : nullptr;
     };
 
-    // CallAhead[I]: some call lies strictly after I, before I's block
-    // ends (next leader).
-    std::vector<bool> CallAhead(Code.size(), false);
-    for (size_t I = Code.size() - 1; I > 0; --I) {
-      size_t Prev = I - 1;
-      CallAhead[Prev] =
-          !Leader[I] && (detail::isCall(Code[I].Op) || CallAhead[I]);
-    }
-
-    std::unordered_map<int64_t, int64_t> CopyOf; // x -> y: local x == local y
-    auto Kill = [&CopyOf](int64_t Slot) {
-      CopyOf.erase(Slot);
-      for (auto It = CopyOf.begin(); It != CopyOf.end();)
-        It = It->second == Slot ? CopyOf.erase(It) : std::next(It);
-    };
-
+    // Index of the last call in the current block (0: none after any
+    // instruction of it).
+    size_t LastCall = 0;
     uint64_t Propagated = 0;
     for (size_t I = 0; I < Code.size(); ++I) {
-      if (Leader[I])
-        CopyOf.clear();
+      if (Scan.leader(I)) {
+        ++Block;
+        LastCall = 0;
+        for (size_t J = I + 1; J < Code.size() && !Scan.leader(J); ++J)
+          if (detail::isCall(Code[J].Op))
+            LastCall = J;
+      }
       Instr &In = Code[I];
       if (In.Op == Opcode::LoadLocal) {
-        auto It = CopyOf.find(In.A);
-        if (It != CopyOf.end() && !CallAhead[I]) {
-          In.A = It->second;
+        const Slot *S = CopyOf(In.A);
+        if (S && LastCall <= I) {
+          In.A = S->Src;
           ++Propagated;
         }
         continue;
@@ -81,18 +89,22 @@ public:
       if (detail::isCall(In.Op)) {
         // A callee can reach this frame up-level through the static
         // link; every tracked fact dies.
-        CopyOf.clear();
+        ++Block;
         continue;
       }
-      if (In.Op == Opcode::StoreLocal) {
-        Kill(In.A);
+      if (In.Op == Opcode::StoreLocal && !Scan.untrackable(In.A)) {
+        Slot &X = Slots[static_cast<size_t>(In.A)];
+        X.Block = 0;
+        ++X.Version;
         // Record x == y when the copied load immediately precedes (the
         // load was already chain-rewritten above, so facts close
         // transitively).
-        if (I > 0 && !Leader[I] && Code[I - 1].Op == Opcode::LoadLocal &&
-            Code[I - 1].A != In.A && !IsTaken(In.A) &&
-            !IsTaken(Code[I - 1].A))
-          CopyOf[In.A] = Code[I - 1].A;
+        if (I > 0 && !Scan.leader(I) && Code[I - 1].Op == Opcode::LoadLocal &&
+            Code[I - 1].A != In.A && !Scan.untrackable(Code[I - 1].A)) {
+          X.Src = Code[I - 1].A;
+          X.Block = Block;
+          X.SrcVersion = Slots[static_cast<size_t>(X.Src)].Version;
+        }
       }
     }
     if (Propagated)

@@ -16,7 +16,9 @@
 /// run() is const and passes hold no mutable state, so one pass instance
 /// (and one PassManager) is safely shared by all codegen tasks of a
 /// session.  Counters go to a thread-safe StatisticSet under `opt.*`
-/// names.
+/// names.  A pass counts in locals and adds each counter at most once per
+/// run; it never reads the set back, because every codegen task of a
+/// compile shares it and a read would see other streams' counts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +44,10 @@ public:
   /// of this pass's opt.<name>.* counters.
   virtual std::string_view name() const = 0;
 
-  /// Rewrites \p Unit in place; returns true if anything changed.
+  /// Rewrites \p Unit in place; returns true exactly when the code
+  /// changed.  The pipeline stops after a round in which every pass
+  /// returned false, so a pass should also leave nothing to do on its own
+  /// output.
   virtual bool run(codegen::CodeUnit &Unit, StatisticSet &Stats) const = 0;
 };
 

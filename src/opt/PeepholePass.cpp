@@ -106,28 +106,24 @@ struct SweepStats {
   uint64_t Removed = 0;  ///< Instructions deleted.
 };
 
-/// One local rewrite sweep.  Deleted instructions become Pops of nothing:
-/// we mark them and compact afterwards so jump targets stay correct.
+/// One local rewrite sweep.  Deleted instructions are marked in Dead and
+/// compacted afterwards so jump targets stay correct.
 struct Rewriter {
   std::vector<Instr> &Code;
-  std::vector<bool> Dead;
-  std::vector<bool> Target; ///< Instruction is a jump target.
+  detail::Bits &Dead;
+  const detail::Bits &Target; ///< Instruction is a jump target.
   SweepStats &Stats;
-
-  Rewriter(std::vector<Instr> &Code, SweepStats &Stats)
-      : Code(Code), Dead(Code.size(), false),
-        Target(detail::jumpTargets(Code)), Stats(Stats) {}
 
   /// A window position is usable if alive and not a jump target (a jump
   /// landing between fused instructions would see half a pattern).
-  bool usable(size_t I, bool AllowTarget = false) const {
-    return I < Code.size() && !Dead[I] && (AllowTarget || !Target[I]);
+  bool usable(size_t I) const {
+    return I < Code.size() && !Dead.test(I) && !Target.test(I);
   }
 
   bool sweep() {
     bool Changed = false;
     for (size_t I = 0; I < Code.size(); ++I) {
-      if (Dead[I])
+      if (Dead.test(I))
         continue;
 
       // PushInt a; PushInt b; binop  ->  PushInt (a op b)
@@ -137,7 +133,8 @@ struct Rewriter {
           Code[J].Op == Opcode::PushInt && usable(K)) {
         if (auto Folded = foldBinary(Code[K].Op, Code[I].A, Code[J].A)) {
           Code[K] = Instr{Opcode::PushInt, *Folded, 0, 0.0};
-          Dead[I] = Dead[J] = true;
+          Dead.set(I);
+          Dead.set(J);
           Stats.Folded += 1;
           Stats.Removed += 2;
           Changed = true;
@@ -155,7 +152,7 @@ struct Rewriter {
                           ? (V == 0 ? 1 : 0)
                           : (V < 0 ? -V : V);
           Code[J] = Instr{Opcode::PushInt, R, 0, 0.0};
-          Dead[I] = true;
+          Dead.set(I);
           Stats.Folded += 1;
           Stats.Removed += 1;
           Changed = true;
@@ -165,7 +162,8 @@ struct Rewriter {
         if ((Code[I].A == 0 && (Code[J].Op == Opcode::AddInt ||
                                 Code[J].Op == Opcode::SubInt)) ||
             (Code[I].A == 1 && Code[J].Op == Opcode::MulInt)) {
-          Dead[I] = Dead[J] = true;
+          Dead.set(I);
+          Dead.set(J);
           Stats.Fused += 1;
           Stats.Removed += 2;
           Changed = true;
@@ -177,7 +175,7 @@ struct Rewriter {
       if (invertedCompare(Code[I].Op) != Code[I].Op && usable(J) &&
           Code[J].Op == Opcode::NotBool) {
         Code[I].Op = invertedCompare(Code[I].Op);
-        Dead[J] = true;
+        Dead.set(J);
         Stats.Fused += 1;
         Stats.Removed += 1;
         Changed = true;
@@ -191,10 +189,11 @@ struct Rewriter {
         bool Taken = (Code[J].Op == Opcode::JumpIfTrue) == (Code[I].A != 0);
         if (Taken) {
           Code[J].Op = Opcode::Jump;
-          Dead[I] = true;
+          Dead.set(I);
           Stats.Removed += 1;
         } else {
-          Dead[I] = Dead[J] = true;
+          Dead.set(I);
+          Dead.set(J);
           Stats.Removed += 2;
         }
         Stats.Folded += 1;
@@ -207,7 +206,7 @@ struct Rewriter {
         size_t Hops = 0;
         int64_t T = Code[I].A;
         while (static_cast<size_t>(T) < Code.size() &&
-               !Dead[static_cast<size_t>(T)] &&
+               !Dead.test(static_cast<size_t>(T)) &&
                Code[static_cast<size_t>(T)].Op == Opcode::Jump &&
                T != Code[static_cast<size_t>(T)].A && Hops < 64) {
           T = Code[static_cast<size_t>(T)].A;
@@ -226,12 +225,10 @@ struct Rewriter {
   /// Index of the next live instruction after \p I (Code.size() if none).
   size_t next(size_t I) const {
     for (size_t J = I + 1; J < Code.size(); ++J)
-      if (!Dead[J])
+      if (!Dead.test(J))
         return J;
     return Code.size();
   }
-
-  void compact() { detail::compactCode(Code, Dead); }
 };
 
 class PeepholePass : public Pass {
@@ -241,15 +238,17 @@ public:
   bool run(CodeUnit &Unit, StatisticSet &Stats) const override {
     SweepStats S;
     bool Any = false;
+    detail::Bits Dead, Target;
     // Iterate local sweeps to a fixed point (folding exposes new folds),
     // then compact once per sweep.
     for (int Round = 0; Round < 8; ++Round) {
-      Rewriter R(Unit.Code, S);
-      bool Changed = R.sweep();
-      R.compact();
-      Any |= Changed;
+      Dead.reset(Unit.Code.size());
+      detail::markJumpTargets(Unit.Code, Target);
+      bool Changed = Rewriter{Unit.Code, Dead, Target, S}.sweep();
       if (!Changed)
         break;
+      detail::compactCode(Unit.Code, Dead);
+      Any = true;
     }
     if (S.Folded)
       Stats.add("opt.peephole.folded", S.Folded);
