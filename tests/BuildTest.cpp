@@ -15,6 +15,7 @@
 #include "codegen/ObjectFile.h"
 #include "driver/ConcurrentCompiler.h"
 #include "sched/SimulatedExecutor.h"
+#include "service/BuildService.h"
 #include "vm/VM.h"
 #include "workload/WorkloadGenerator.h"
 
@@ -450,6 +451,99 @@ TEST(BuildTest, DivergentCachePlanIsDroppedGracefully) {
   Short.Streams.resize(1);
   Short.Streams[0].QualifiedName = "Calc";
   RunWithPlan(Short);
+}
+
+/// The four diagnostic projects of the pinned-output test: a missing
+/// root, a missing interface, an interface cycle, and located errors in a
+/// .def and a .mod plus the module-name warning.
+struct PinnedProject {
+  const char *Name;
+  std::vector<std::pair<const char *, const char *>> Sources;
+  std::vector<std::string> Roots;
+  const char *Text;
+};
+
+const PinnedProject PinnedProjects[] = {
+    {"missing root",
+     {},
+     {"Nonesuch"},
+     "<builtin>:<unknown>: error: cannot find module file 'Nonesuch.mod'\n"},
+    {"missing interface",
+     {{"Lost.mod", "MODULE Lost;\nIMPORT Ghost;\nVAR n: INTEGER;\n"
+                   "BEGIN\n  n := 1\nEND Lost.\n"}},
+     {"Lost"},
+     "<builtin>:<unknown>: error: cannot find interface file 'Ghost.def'\n"},
+    {"interface cycle",
+     {{"Ping.def", "DEFINITION MODULE Ping;\nIMPORT Pong;\nEND Ping.\n"},
+      {"Pong.def", "DEFINITION MODULE Pong;\nIMPORT Ping;\nEND Pong.\n"},
+      {"Loop.mod", "MODULE Loop;\nIMPORT Ping;\nBEGIN\nEND Loop.\n"}},
+     {"Loop"},
+     "<builtin>:<unknown>: error: import cycle among interfaces: Ping -> "
+     "Pong -> Ping\n"},
+    {"located errors",
+     {{"Shapes.def", "DEFINITION MODULE Shapes;\n"
+                     "PROCEDURE Area(s: Square): INTEGER;\nEND Shapes.\n"},
+      {"Draw.mod", "MODULE Drawing;\nIMPORT Shapes;\nVAR n: INTEGER;\n"
+                   "BEGIN\n  n := missing + 1\nEND Drawing.\n"}},
+     {"Draw"},
+     "Shapes.def:2:19: error: undeclared type 'Square'\n"
+     "Draw.mod:1:1: warning: module name does not match its file name\n"
+     "Draw.mod:5:8: error: undeclared identifier 'missing'\n"},
+};
+
+// Every way of building a project renders the same pinned diagnostics: a
+// standalone session at simulated P=1 and at threaded P=2, and the same
+// roots sent as a request to a build service.
+TEST(BuildTest, SessionDiagnosticsArePinned) {
+  for (const PinnedProject &P : PinnedProjects) {
+    auto Fresh = [&P](BuildFixture &T) {
+      for (const auto &[File, Text] : P.Sources)
+        T.Files.addFile(File, Text);
+    };
+    auto Check = [&P](const build::BuildResult &R, const char *Path) {
+      EXPECT_FALSE(R.Success) << P.Name << " via " << Path;
+      EXPECT_EQ(R.DiagnosticText, P.Text) << P.Name << " via " << Path;
+    };
+    {
+      BuildFixture T;
+      Fresh(T);
+      CompilerOptions Options = T.options();
+      Options.Processors = 1;
+      Check(T.session(P.Roots, Options), "simulated P=1");
+    }
+    {
+      BuildFixture T;
+      Fresh(T);
+      CompilerOptions Options = T.options();
+      Options.Executor = ExecutorKind::Threaded;
+      Options.Processors = 2;
+      Check(T.session(P.Roots, Options), "threaded P=2");
+    }
+    {
+      BuildFixture T;
+      Fresh(T);
+      service::ServiceConfig Config;
+      Config.Workers = 2;
+      service::BuildService Service(T.Files, T.Interner, Config);
+      Check(Service.submit(P.Roots), "service request");
+    }
+  }
+}
+
+// An uncached simulated session's clock and counters, pinned: how the
+// session is wired must not move a virtual unit.
+TEST(BuildTest, UncachedSessionUnitsArePinned) {
+  BuildFixture T;
+  T.addReportProject();
+  build::BuildResult R = T.session({"Report"}, T.options());
+  ASSERT_TRUE(R.Success) << R.DiagnosticText;
+  EXPECT_EQ(R.ElapsedUnits, 219046u);
+  const std::map<std::string, uint64_t> Expected = {
+      {"build.discovery.units", 9149}, {"build.interface.parses", 2},
+      {"build.interface.streams", 2},  {"build.modules.cached", 0},
+      {"build.modules.compiled", 3},   {"build.modules.total", 3},
+      {"build.proc.streams", 5}};
+  EXPECT_EQ(R.BuildStats, Expected);
 }
 
 } // namespace
