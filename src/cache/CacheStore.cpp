@@ -128,11 +128,12 @@ size_t DiskCacheStore::sweepOrphans() {
 }
 
 std::optional<std::string> DiskCacheStore::checkEntry(const std::string &Raw) {
-  if (Raw.compare(0, EntryMagicLen, EntryMagic) != 0)
-    return Raw; // Pre-header entry from an older store: accept unverified.
-  if (Raw.size() < EntryMagicLen + EntryHashLen + 1 ||
+  // Every entry is written framed, so a missing or damaged magic is
+  // corruption like any other.
+  if (Raw.compare(0, EntryMagicLen, EntryMagic) != 0 ||
+      Raw.size() < EntryMagicLen + EntryHashLen + 1 ||
       Raw[EntryMagicLen + EntryHashLen] != '\n')
-    return std::nullopt; // Header present but torn.
+    return std::nullopt;
   std::string Payload = Raw.substr(EntryMagicLen + EntryHashLen + 1);
   if (Raw.compare(EntryMagicLen, EntryHashLen, hashBytes(Payload).hex()) != 0)
     return std::nullopt;

@@ -68,8 +68,8 @@ private:
 /// the content hash of the payload that follows.  load() verifies the hash
 /// and self-heals on mismatch — the corrupt file is deleted and the load
 /// reports a miss, so the caller simply recompiles and overwrites it
-/// (`cache.disk.corrupt` counts these).  Headerless entries from older
-/// stores are accepted unverified.
+/// (`cache.disk.corrupt` counts these).  A file without the header is
+/// corrupt too.
 ///
 /// Construction runs a recovery sweep: `.tmp<pid>.*` files whose writing
 /// process is dead are orphans from a crash mid-write and are deleted
@@ -108,7 +108,7 @@ private:
   /// Deletes dead-process temp files; returns how many were removed.
   size_t sweepOrphans();
   /// Checks the `#mcc1 <hash>` header of \p Raw.  Returns the payload on
-  /// success, nullopt on a hash mismatch.  Headerless text passes through.
+  /// success, nullopt on a missing or torn header or a hash mismatch.
   static std::optional<std::string> checkEntry(const std::string &Raw);
 
   const std::string Directory;

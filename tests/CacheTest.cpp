@@ -577,22 +577,33 @@ TEST(CacheTest, BitFlippedEntryIsDetectedAndHealedOnLoad) {
   std::filesystem::remove_all(Dir);
 }
 
-TEST(CacheTest, HeaderlessLegacyEntriesAreAcceptedUnverified) {
+// A flipped bit in an entry's magic is damage like any other: the load
+// misses, counts the entry corrupt and removes it, and verifyAll reports
+// such an entry as corrupt.
+TEST(CacheTest, FlippedMagicByteIsCorrupt) {
   std::filesystem::path Dir =
-      std::filesystem::path(::testing::TempDir()) / "m2c-cache-legacy";
+      std::filesystem::path(::testing::TempDir()) / "m2c-cache-magic";
   std::filesystem::remove_all(Dir);
   cache::DiskCacheStore Store(Dir.string());
-  {
-    std::ofstream Out(Dir / "old.mcc", std::ios::binary);
-    Out << "legacy payload with no header";
-  }
-  std::optional<std::string> Got = Store.load("old");
-  ASSERT_TRUE(Got.has_value());
-  EXPECT_EQ(*Got, "legacy payload with no header");
-  // verifyAll treats it the same way: checked, not corrupt.
-  cache::DiskCacheStore::VerifyReport Report = Store.verifyAll(true);
+  std::filesystem::path Path = Dir / "key.mcc";
+  auto SaveDamaged = [&] {
+    Store.save("key", "a perfectly good payload");
+    std::fstream F(Path, std::ios::in | std::ios::out | std::ios::binary);
+    char First = 0;
+    F.get(First);
+    F.seekp(0);
+    F.put(static_cast<char>(First ^ 0x40));
+  };
+
+  SaveDamaged();
+  EXPECT_FALSE(Store.load("key").has_value());
+  EXPECT_EQ(Store.stats().snapshot().at("cache.disk.corrupt"), 1u);
+  EXPECT_FALSE(std::filesystem::exists(Path));
+
+  SaveDamaged();
+  cache::DiskCacheStore::VerifyReport Report = Store.verifyAll(false);
   EXPECT_EQ(Report.Checked, 1u);
-  EXPECT_EQ(Report.Corrupt, 0u);
+  EXPECT_EQ(Report.Corrupt, 1u);
   std::filesystem::remove_all(Dir);
 }
 
