@@ -37,32 +37,59 @@ const ModuleBuild *BuildResult::module(std::string_view Name) const {
   return nullptr;
 }
 
+namespace {
+using Clock = std::chrono::steady_clock;
+
+uint64_t wallSince(Clock::time_point From) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           From)
+          .count());
+}
+} // namespace
+
 BuildResult BuildSession::build(const std::vector<std::string> &Roots) {
-  return buildImpl(Roots, nullptr);
+  // A standalone session is a private generation, wired the way the
+  // service's interface pool wires a shared one: its own Compilation, an
+  // InterfaceSet on an untagged spawner (its tasks take the tag of the
+  // request that starts them), the discovered graph, and the
+  // process-lifetime executor for the processor count or a private
+  // simulated one.
+  SessionExternals Ext;
+  Ext.Comp = std::make_shared<Compilation>(
+      Files, Interner, CompilationOptions{Options.Strategy, Options.Sharing});
+  std::unique_ptr<SimulatedExecutor> Sim;
+  if (Options.Executor == ExecutorKind::Simulated)
+    Sim = std::make_unique<SimulatedExecutor>(Options.Processors,
+                                              Options.Cost);
+  Ext.Exec = Sim ? static_cast<Executor *>(Sim.get())
+                 : &ThreadedExecutor::shared(Options.Processors);
+  TaskSpawner Spawner(*Ext.Exec);
+  InterfaceSet Defs(*Ext.Comp, Spawner);
+  Ext.Defs = &Defs;
+  {
+    // Discovery closes over the import graph before anything is
+    // scheduled, charged like any other sequential phase.
+    SequentialContext Ctx(Options.Cost);
+    ScopedContext Installed(Ctx);
+    auto Start = Clock::now();
+    Ext.Graph =
+        BuildGraph::discover(Files, Interner, Ext.Comp->Builtins, Roots);
+    Ext.DiscoveryUnits = Sim ? Ctx.elapsedUnits() : wallSince(Start);
+  }
+  return build(Roots, std::move(Ext));
 }
 
 BuildResult BuildSession::build(const std::vector<std::string> &Roots,
                                 SessionExternals Ext) {
-  return buildImpl(Roots, &Ext);
-}
-
-BuildResult BuildSession::buildImpl(const std::vector<std::string> &Roots,
-                                    SessionExternals *Ext) {
   BuildResult Result;
-  std::shared_ptr<Compilation> Comp;
-  if (Ext) {
-    Comp = Ext->Comp;
-    Result.KeepAlive = Ext->KeepAlive;
-  } else {
-    Comp = std::make_shared<Compilation>(
-        Files, Interner,
-        CompilationOptions{Options.Strategy, Options.Sharing});
-  }
+  std::shared_ptr<Compilation> Comp = Ext.Comp;
   Result.Compilation = Comp;
+  Result.KeepAlive = Ext.KeepAlive;
+  const BuildGraph &Graph = Ext.Graph;
 
   // The build's pass pipeline: one manager shared by every codegen task
-  // of every pipeline; counters accumulate in a build-local set and are
-  // folded into the service-lifetime sink afterwards.
+  // of every pipeline; counters accumulate in a build-local set.
   opt::PassManager OwnedPasses = opt::PassManager::forLevel(Options.Level);
   const opt::PassManager *Passes =
       Options.Passes ? Options.Passes : &OwnedPasses;
@@ -72,51 +99,23 @@ BuildResult BuildSession::buildImpl(const std::vector<std::string> &Roots,
   RunOptions.Passes = Passes->empty() ? nullptr : Passes;
   RunOptions.OptStats = &LocalOptStats;
 
-  bool Threaded = Ext || Options.Executor == ExecutorKind::Threaded;
-  uint64_t SideUnits = 0;  // discovery + cache work, virtual units
-  uint64_t SideWallNs = 0; // the same work in wall time
-  using Clock = std::chrono::steady_clock;
-  auto WallSince = [](Clock::time_point From) {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             From)
-            .count());
-  };
+  // Side work (discovery, cache probe and store, setup's replay of cached
+  // units) in the run's clock: virtual units when simulated, wall
+  // nanoseconds when threaded.
+  const bool Threaded = Options.Executor == ExecutorKind::Threaded;
+  uint64_t SideUnits = Ext.DiscoveryUnits;
 
-  // Request-scoped diagnostics (service mode): location-less conditions
-  // go here instead of the shared engine, and at the end the request's
-  // slice of the shared engine is merged in, so each request renders
-  // exactly what a standalone session would.
+  // Request-scoped diagnostics: location-less conditions go here, and at
+  // the end the request's slice of the Compilation's engine is merged in,
+  // so a request sharing its generation with peers renders exactly what
+  // it alone caused.
   DiagnosticsEngine LocalDiags;
-  auto SessionStart = Clock::now();
-
-  // Discovery: close over the import graph before anything is scheduled.
-  // Charged like any other sequential phase so session times stay honest.
-  // The service discovers before admission and hands the graph in.
-  BuildGraph Graph;
-  uint64_t DiscoveryUnits = 0;
-  if (Ext) {
-    Graph = std::move(Ext->Graph);
-    DiscoveryUnits = Ext->DiscoveryWallNs;
-  } else {
-    SequentialContext Ctx(Options.Cost);
-    ScopedContext Installed(Ctx);
-    auto Start = Clock::now();
-    Graph = BuildGraph::discover(Files, Interner, Comp->Builtins, Roots);
-    DiscoveryUnits = Ctx.elapsedUnits();
-    SideUnits += DiscoveryUnits;
-    SideWallNs += WallSince(Start);
-  }
   for (const std::string &Root : Roots) {
     const BuildNode *N = Graph.node(Interner.intern(Root));
-    if (!N || !N->HasImpl) {
-      std::string Message = "cannot find module file '" +
-                            VirtualFileSystem::modFileName(Root) + "'";
-      if (Ext)
-        LocalDiags.error(SourceLocation(), std::move(Message));
-      else
-        Comp->Diags.error(SourceLocation(), std::move(Message));
-    }
+    if (!N || !N->HasImpl)
+      LocalDiags.error(SourceLocation(),
+                       "cannot find module file '" +
+                           VirtualFileSystem::modFileName(Root) + "'");
   }
 
   // Interface cycles can never complete: analysis of each .def waits on
@@ -128,37 +127,31 @@ BuildResult BuildSession::buildImpl(const std::vector<std::string> &Roots,
       Message += I == 0 ? " " : " -> ";
       Message += Interner.spelling(Graph.interfaceCycle()[I]);
     }
-    if (Ext)
-      LocalDiags.error(SourceLocation(), std::move(Message));
-    else
-      Comp->Diags.error(SourceLocation(), std::move(Message));
+    LocalDiags.error(SourceLocation(), std::move(Message));
     Result.Success = false;
-    Result.DiagnosticText =
-        Ext ? LocalDiags.render(&Files) : Comp->Diags.render(&Files);
-    Result.ElapsedUnits = Threaded ? SideWallNs : SideUnits;
+    Result.DiagnosticText = LocalDiags.render(&Files);
+    Result.ElapsedUnits = SideUnits;
     return Result;
   }
 
-  // Service mode: the request's file set — its own .mod files plus its
-  // interface closure's .def files — scopes every later read of the
-  // shared diagnostics engine.  Missing interfaces are synthesized here
-  // from the graph: the shared InterfaceSet reports them location-less
-  // into the shared engine, where a per-file filter cannot see them.
+  // The request's file set — its own .mod files plus its interface
+  // closure's .def files — scopes every later read of the Compilation's
+  // diagnostics engine.  Missing interfaces are synthesized here from the
+  // graph: the InterfaceSet reports them location-less into that engine,
+  // where a per-file filter cannot see them.
   std::unordered_set<uint32_t> RequestFiles;
-  if (Ext) {
-    for (Symbol Mod : Graph.compileOrder())
-      if (const SourceBuffer *Buf = Files.lookup(
-              VirtualFileSystem::modFileName(Interner.spelling(Mod))))
-        RequestFiles.insert(Buf->Id.index());
-    for (Symbol Def : Graph.sessionInterfaces()) {
-      std::string FileName =
-          VirtualFileSystem::defFileName(Interner.spelling(Def));
-      if (const SourceBuffer *Buf = Files.lookup(FileName))
-        RequestFiles.insert(Buf->Id.index());
-      else
-        LocalDiags.error(SourceLocation(),
-                         "cannot find interface file '" + FileName + "'");
-    }
+  for (Symbol Mod : Graph.compileOrder())
+    if (const SourceBuffer *Buf = Files.lookup(
+            VirtualFileSystem::modFileName(Interner.spelling(Mod))))
+      RequestFiles.insert(Buf->Id.index());
+  for (Symbol Def : Graph.sessionInterfaces()) {
+    std::string FileName =
+        VirtualFileSystem::defFileName(Interner.spelling(Def));
+    if (const SourceBuffer *Buf = Files.lookup(FileName))
+      RequestFiles.insert(Buf->Id.index());
+    else
+      LocalDiags.error(SourceLocation(),
+                       "cannot find interface file '" + FileName + "'");
   }
 
   // Cache prepass, module by module.  Whole-module hits never get a
@@ -180,20 +173,14 @@ BuildResult BuildSession::buildImpl(const std::vector<std::string> &Roots,
         cache::CacheFingerprint{Options.Strategy, Options.Sharing, PassConfig,
                                 "conc"},
         Options.Cost);
-    // Service mode hands the planner the module's already-discovered
-    // interface closure, replacing the probe's per-interface lex walk
-    // with (memoized) hash lookups.  Standalone sessions keep the
-    // unassisted probe so their simulated probe units stay as charged.
+    // The graph already knows the module's interface closure, so the
+    // probe takes (memoized) hashes instead of lexing every interface.
     std::vector<std::string> ClosureFiles;
-    if (Ext) {
-      for (Symbol Def : Graph.interfaceClosureSet(Mod))
-        ClosureFiles.push_back(
-            VirtualFileSystem::defFileName(Interner.spelling(Def)));
-    }
-    cache::CachePlan Plan =
-        Planner.plan(Spelling, Ext ? &ClosureFiles : nullptr);
-    SideUnits += Plan.ProbeUnits;
-    SideWallNs += WallSince(Start);
+    for (Symbol Def : Graph.interfaceClosureSet(Mod))
+      ClosureFiles.push_back(
+          VirtualFileSystem::defFileName(Interner.spelling(Def)));
+    cache::CachePlan Plan = Planner.plan(Spelling, &ClosureFiles);
+    SideUnits += Threaded ? wallSince(Start) : Plan.ProbeUnits;
     if (Plan.ModuleHit) {
       ModuleBuild MB;
       MB.Name = std::string(Spelling);
@@ -206,36 +193,22 @@ BuildResult BuildSession::buildImpl(const std::vector<std::string> &Roots,
     Pending.push_back({Mod, std::move(Plan)});
   }
 
-  // The shared run: every pending module's pipeline on ONE executor, all
-  // interfaces parsed once by one InterfaceSet.
+  // The shared run: every pending module's pipeline as ONE request on the
+  // generation's executor, all interfaces parsed once by its InterfaceSet.
   uint64_t InterfaceStreams = 0;
   uint64_t InterfaceParses = 0;
   uint64_t ProcStreams = 0;
-  uint64_t ExecUnits = 0; // the run's virtual units or request wall time
+  uint64_t ExecUnits = 0;
   if (!Pending.empty()) {
-    // The build is one request: on the service's executor, on the
-    // process-lifetime executor for its processor count, or on a private
-    // simulated executor.
-    std::unique_ptr<Executor> Sim;
-    if (!Threaded)
-      Sim = std::make_unique<SimulatedExecutor>(Options.Processors,
-                                                Options.Cost);
-    Executor &Exec = Sim   ? *Sim
-                     : Ext ? *Ext->Exec
-                           : ThreadedExecutor::shared(Options.Processors);
+    Executor &Exec = *Ext.Exec;
+    InterfaceSet &Defs = *Ext.Defs;
     std::shared_ptr<void> Tag = Exec.openRequest(Options.Trace);
     TaskSpawner Spawner(Exec, Tag);
     // Setup below runs on this (non-task) thread and can first-touch
-    // shared interface streams through the pool's untagged spawner; the
+    // interface streams through the generation's untagged spawner; the
     // scope charges those spawns to this request so awaitRequest() waits
     // for them too.
     TaskSpawner::RequestTagScope TagScope(Tag);
-    std::unique_ptr<InterfaceSet> OwnedDefs;
-    InterfaceSet *Defs = Ext ? Ext->SharedDefs : nullptr;
-    if (!Defs) {
-      OwnedDefs = std::make_unique<InterfaceSet>(*Comp, Spawner);
-      Defs = OwnedDefs.get();
-    }
     std::vector<std::unique_ptr<ModulePipeline>> Pipelines;
     {
       // Setup replays cached main-stream units; charge that to the cache
@@ -247,13 +220,14 @@ BuildResult BuildSession::buildImpl(const std::vector<std::string> &Roots,
       for (PendingModule &PM : Pending) {
         auto Pipe = std::make_unique<ModulePipeline>(
             RunOptions, *Comp, Interner.spelling(PM.Name), Spawner,
-            Ext ? &LocalDiags : nullptr);
+            &LocalDiags);
         if (PM.Plan && PM.Plan->Valid)
           Pipe->setPlan(&*PM.Plan);
         Pipe->setup();
         Pipelines.push_back(std::move(Pipe));
       }
-      SideUnits += Ctx.elapsedUnits();
+      if (!Threaded)
+        SideUnits += Ctx.elapsedUnits();
     }
     // Threaded tasks have been running since setup; wait for this
     // request's subgraph, then let the fair share rise.
@@ -261,9 +235,9 @@ BuildResult BuildSession::buildImpl(const std::vector<std::string> &Roots,
     Result.SchedStats = Exec.closeRequest(Tag);
     // A shared interface stream first touched by a peer request runs
     // under the peer's tag, but its diagnostics land in .def files this
-    // request's slice reads below; settle the whole pool before judging
+    // request's slice reads below; settle the whole set before judging
     // cleanliness so a late interface error is never missed.
-    Defs->quiesce();
+    Defs.quiesce();
 
     for (size_t I = 0; I < Pipelines.size(); ++I) {
       ModulePipeline &Pipe = *Pipelines[I];
@@ -283,12 +257,11 @@ BuildResult BuildSession::buildImpl(const std::vector<std::string> &Roots,
 
     // Store phase: the gate is session-wide — only a completely clean
     // session stores, so a replayed entry never owes a diagnostic from
-    // any module — plus per-module plan integrity.  A service request
-    // judges cleanliness over its own file slice of the shared engine (a
-    // peer request's broken module must not block this one's stores).
-    bool Clean = Ext ? (LocalDiags.count() == 0 &&
-                        Comp->Diags.countIn(RequestFiles) == 0)
-                     : Comp->Diags.count() == 0;
+    // any module — plus per-module plan integrity.  Cleanliness is judged
+    // over the request's own file slice (a peer request's broken module
+    // must not block this one's stores).
+    bool Clean =
+        LocalDiags.count() == 0 && Comp->Diags.countIn(RequestFiles) == 0;
     if (Options.Cache && Clean) {
       SequentialContext Ctx(Options.Cost);
       ScopedContext Installed(Ctx);
@@ -302,15 +275,14 @@ BuildResult BuildSession::buildImpl(const std::vector<std::string> &Roots,
         storeCacheEntries(*Options.Cache, *Pipe.plan(), MB->Image,
                           static_cast<uint64_t>(MB->StreamCount), Interner);
       }
-      SideUnits += Ctx.elapsedUnits();
-      SideWallNs += WallSince(Start);
+      SideUnits += Threaded ? wallSince(Start) : Ctx.elapsedUnits();
     }
 
     // Under a service these are the shared pool's service-lifetime
     // counters (interfaces are parsed once per generation, not per
     // request).
-    InterfaceStreams = Defs->streamCount();
-    InterfaceParses = Defs->parseCount();
+    InterfaceStreams = Defs.streamCount();
+    InterfaceParses = Defs.parseCount();
   }
 
   // Cached modules were recorded during the prepass, compiled ones after
@@ -326,19 +298,13 @@ BuildResult BuildSession::buildImpl(const std::vector<std::string> &Roots,
                      });
   }
 
-  if (Ext) {
-    // Merge the request's slice of the shared engine into the local one
-    // (already deduplicated) and render everything in one stable order.
-    for (const Diagnostic &D : Comp->Diags.sortedIn(RequestFiles))
-      LocalDiags.report(D.Severity, D.Loc, D.Message);
-    Result.Success = !LocalDiags.hasErrors();
-    Result.DiagnosticText = LocalDiags.render(&Files);
-    Result.ElapsedUnits = WallSince(SessionStart) + DiscoveryUnits;
-  } else {
-    Result.Success = !Comp->Diags.hasErrors();
-    Result.DiagnosticText = Comp->Diags.render(&Files);
-    Result.ElapsedUnits = ExecUnits + (Threaded ? SideWallNs : SideUnits);
-  }
+  // Merge the request's slice of the Compilation's engine into the local
+  // one and render everything in one stable order.
+  for (const Diagnostic &D : Comp->Diags.sortedIn(RequestFiles))
+    LocalDiags.report(D.Severity, D.Loc, D.Message);
+  Result.Success = !LocalDiags.hasErrors();
+  Result.DiagnosticText = LocalDiags.render(&Files);
+  Result.ElapsedUnits = ExecUnits + SideUnits;
   if (!Threaded)
     Result.SimSeconds = static_cast<double>(Result.ElapsedUnits) /
                         static_cast<double>(Options.Cost.UnitsPerSecond);
@@ -352,11 +318,7 @@ BuildResult BuildSession::buildImpl(const std::vector<std::string> &Roots,
   Result.BuildStats["build.interface.streams"] = InterfaceStreams;
   Result.BuildStats["build.interface.parses"] = InterfaceParses;
   Result.BuildStats["build.proc.streams"] = ProcStreams;
-  Result.BuildStats["build.discovery.units"] = DiscoveryUnits;
-
+  Result.BuildStats["build.discovery.units"] = Ext.DiscoveryUnits;
   Result.OptStats = LocalOptStats.snapshot();
-  if (Ext && Ext->OptStats)
-    for (const auto &[Name, Value] : Result.OptStats)
-      Ext->OptStats->add(Name, Value);
   return Result;
 }

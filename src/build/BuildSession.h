@@ -43,7 +43,7 @@ class Compilation;
 }
 
 namespace m2c::sched {
-class ThreadedExecutor;
+class Executor;
 }
 
 namespace m2c::build {
@@ -70,8 +70,9 @@ struct BuildResult {
   /// Rendered session diagnostics (all modules, stable source order).
   std::string DiagnosticText;
 
-  /// Virtual units (simulated) or wall nanoseconds (threaded), including
-  /// discovery and cache prepass/store work.
+  /// The request's executor time plus its side work (discovery, cache
+  /// prepass and store), in virtual units (simulated) or wall nanoseconds
+  /// (threaded).
   uint64_t ElapsedUnits = 0;
   double SimSeconds = 0.0; ///< ElapsedUnits in simulated seconds.
 
@@ -82,7 +83,7 @@ struct BuildResult {
   /// build.discovery.units, build.proc.streams.
   std::map<std::string, uint64_t> BuildStats;
   /// Middle-end pass counters (opt.units, opt.<pass>.*) for this build;
-  /// empty at -O0.
+  /// empty at -O0.  A build service folds them into its own counters.
   std::map<std::string, uint64_t> OptStats;
 
   std::shared_ptr<sema::Compilation> Compilation;
@@ -94,25 +95,23 @@ struct BuildResult {
   const ModuleBuild *module(std::string_view Name) const;
 };
 
-/// Shared state a BuildService hands to a session so it runs as one
-/// *request* on the service's persistent infrastructure instead of
-/// constructing its own: the tasks go to the service's executor (opened,
-/// awaited and closed as one fair-share request), the session joins the
-/// service's current Compilation generation — one interner, type context
-/// and once-only module registry shared with its concurrent peers — and
-/// interface streams come from the service-lifetime InterfaceSet, so a
-/// definition module imported by many requests is parsed once per
-/// generation, not once per session.
+/// The generation a session runs in.  A BuildService hands in its
+/// current generation, so the session runs as one *request* on the
+/// service's persistent infrastructure: the tasks go to the service's
+/// executor (opened, awaited and closed as one fair-share request), the
+/// session joins the generation's Compilation — one interner, type
+/// context and once-only module registry shared with its concurrent
+/// peers — and interface streams come from the generation's
+/// InterfaceSet, so a definition module imported by many requests is
+/// parsed once per generation, not once per session.  A standalone
+/// build() sets up a private generation and runs the same request.
 struct SessionExternals {
-  sched::ThreadedExecutor *Exec = nullptr; ///< The service's executor.
+  sched::Executor *Exec = nullptr;         ///< Runs the request's tasks.
   std::shared_ptr<sema::Compilation> Comp; ///< The generation's compilation.
-  InterfaceSet *SharedDefs = nullptr;      ///< The generation's interfaces.
-  BuildGraph Graph;            ///< Pre-discovered by the service.
-  uint64_t DiscoveryWallNs = 0; ///< Wall time the discovery took.
+  InterfaceSet *Defs = nullptr;            ///< The generation's interfaces.
+  BuildGraph Graph;             ///< The import graph under the roots.
+  uint64_t DiscoveryUnits = 0;  ///< Discovery time in the run's clock.
   std::shared_ptr<void> KeepAlive; ///< Generation handle (outlives result).
-  /// Service-lifetime sink the request's opt.* pass counters are folded
-  /// into (so the daemon's STATS reply aggregates them); optional.
-  StatisticSet *OptStats = nullptr;
 };
 
 /// Runs whole-project builds.  One session object may run one build.
@@ -123,21 +122,21 @@ public:
       : Files(Files), Interner(Interner), Options(std::move(Options)) {}
 
   /// Discovers the import graph under \p Roots and compiles every
-  /// reachable implementation module under one executor.
+  /// reachable implementation module as one request of a private
+  /// generation: its own Compilation and InterfaceSet, on the
+  /// process-lifetime threaded executor for the processor count or on a
+  /// private simulated one.
   BuildResult build(const std::vector<std::string> &Roots);
 
-  /// Service-mode build: compiles \p Roots as one request on the shared
-  /// infrastructure in \p Ext.  Diagnostics are scoped to the request's
-  /// own files (its .mod files plus its interface closure's .def files),
-  /// so concurrent requests sharing one Compilation each report exactly
-  /// what a standalone session would.
+  /// Compiles \p Roots as one request of the generation in \p Ext.
+  /// Diagnostics are scoped to the request's own files (its .mod files
+  /// plus its interface closure's .def files), so concurrent requests
+  /// sharing one Compilation each report exactly what a standalone
+  /// session would.
   BuildResult build(const std::vector<std::string> &Roots,
                     SessionExternals Ext);
 
 private:
-  BuildResult buildImpl(const std::vector<std::string> &Roots,
-                        SessionExternals *Ext);
-
   VirtualFileSystem &Files;
   StringInterner &Interner;
   driver::CompilerOptions Options;

@@ -52,9 +52,9 @@ public:
   }
 
   /// Blocks until every interface-stream task this set has started is
-  /// finished.  A service request calls this after awaiting its own
-  /// tagged subgraph: a shared stream first touched by a *peer* request
-  /// carries the peer's tag, yet its diagnostics land in .def files this
+  /// finished.  A build session calls this after awaiting its own
+  /// request: a shared stream first touched by a *peer* request carries
+  /// the peer's tag, yet its diagnostics land in .def files this
   /// request's diagnostic slice reads, so the slice must not be taken
   /// while any stream is still in flight.
   void quiesce() const;

@@ -56,9 +56,9 @@ public:
   /// through \p Spawner onto the run's (possibly shared) executor.
   /// \p RequestDiags, when non-null, receives the pipeline's location-less
   /// conditions (missing module file, cache-plan divergence) instead of
-  /// \p Comp's shared engine: a service request filters the shared engine
-  /// by file, and a per-file slice cannot see location-less entries, so
-  /// they must go straight to the request's own engine.
+  /// \p Comp's engine: a build session reads that engine through a
+  /// per-file slice, which cannot see location-less entries, so they must
+  /// go straight to the session's own engine.
   ModulePipeline(const driver::CompilerOptions &Options,
                  sema::Compilation &Comp, std::string_view ModuleName,
                  TaskSpawner &Spawner,
@@ -133,8 +133,8 @@ private:
   const driver::CompilerOptions &Options;
   sema::Compilation &Comp;
   TaskSpawner &Spawner;
-  /// Where location-less conditions are reported: the request's engine
-  /// under a service, \p Comp's shared engine otherwise.
+  /// Where location-less conditions are reported: the session's engine in
+  /// a build session, \p Comp's engine in a single-module compile.
   DiagnosticsEngine &SessionDiags;
   Symbol ModName;
   codegen::Merger Merge;

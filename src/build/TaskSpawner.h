@@ -32,9 +32,10 @@ namespace m2c::build {
 /// executor) and from inside running tasks (to the current context).
 class TaskSpawner {
 public:
-  /// \p RequestTag is the threaded executor's request this spawner
-  /// submits for, stamped on every untagged task; null for simulated runs
-  /// and for service-lifetime work such as shared interface streams.
+  /// \p RequestTag is the request this spawner submits for, stamped on
+  /// every untagged task; null for simulated runs and for a generation's
+  /// interface streams, whose tasks take the tag of the request that
+  /// starts them.
   explicit TaskSpawner(sched::Executor &Exec,
                        std::shared_ptr<void> RequestTag = nullptr)
       : Exec(Exec), RequestTag(std::move(RequestTag)) {}

@@ -24,7 +24,6 @@
 #include "sched/Task.h"
 
 #include <cstdint>
-#include <deque>
 
 namespace m2c::sched {
 
@@ -74,8 +73,8 @@ private:
 /// Context for strictly sequential execution (baseline compiler, unit
 /// tests).  Work charges accumulate into a running total of virtual time;
 /// waits assert that the awaited event has already been signaled, which is
-/// guaranteed when phases run in dependency order; spawned tasks are
-/// queued and run by drain() in spawn order.
+/// guaranteed when phases run in dependency order.  Nothing runs tasks
+/// here, so a spawn aborts: tasks go to an executor request.
 class SequentialContext : public ExecContext {
 public:
   SequentialContext() = default;
@@ -86,20 +85,12 @@ public:
   void signal(Event &E) override;
   void spawn(TaskPtr T) override;
 
-  /// Runs queued tasks (in spawn order, honoring prerequisites) until none
-  /// remain.  Aborts if progress stops with tasks still pending.
-  void drain();
-
   /// Total virtual time units charged so far.
   uint64_t elapsedUnits() const { return TotalUnits; }
-
-  /// Resets the accumulated virtual time.
-  void resetElapsed() { TotalUnits = 0; }
 
 private:
   CostModel Model;
   uint64_t TotalUnits = 0;
-  std::deque<TaskPtr> Pending;
 };
 
 } // namespace m2c::sched

@@ -8,11 +8,12 @@
 /// \file
 /// An Executor runs a dynamically growing set of tasks on a fixed number
 /// of (real or simulated) processors, applying the Supervisor scheduling
-/// policy and the event semantics of section 2.3.  A compile is a
-/// *request*: opened, its tasks spawned, awaited, closed.  A
-/// SimulatedExecutor serves one compile, so its request is simply run();
-/// a ThreadedExecutor's workers outlive requests, and every threaded
-/// compile is a request on a process-lifetime one (ThreadedExecutor.h).
+/// policy and the event semantics of section 2.3.  Every task belongs to
+/// a *request*: opened, its tasks spawned, awaited, closed.  A
+/// SimulatedExecutor serves one compile, so its request is the whole
+/// simulation; a ThreadedExecutor's workers outlive requests, and every
+/// threaded compile is a request on a process-lifetime one
+/// (ThreadedExecutor.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,61 +31,39 @@
 
 namespace m2c::sched {
 
-/// Common interface of the threaded and simulated executors.
+/// Common interface of the threaded and simulated executors: spawning
+/// plus the one request lifecycle.
 class Executor {
 public:
   virtual ~Executor();
 
-  /// Submits \p T.  May be called before run() and from inside running
-  /// tasks (the Splitter and Importer start new streams this way).
+  /// Submits \p T.  May be called while a request is being set up and
+  /// from inside running tasks (the Splitter and Importer start new
+  /// streams this way).
   virtual void spawn(TaskPtr T) = 0;
-
-  /// Executes spawned tasks until none remain.  Returns when the task set
-  /// is quiescent; aborts with a report if tasks deadlock.
-  virtual void run() = 0;
-
-  /// Total elapsed time of run(): virtual-time units for the simulated
-  /// executor, wall-clock nanoseconds for the threaded executor.
-  virtual uint64_t elapsedUnits() const = 0;
-
-  /// Number of processors this executor schedules onto.
-  virtual unsigned processorCount() const = 0;
 
   /// Opens a request and returns the tag to stamp on its tasks
   /// (Task::setRequestTag).  \p S receives the request's activity
-  /// intervals.  These defaults serve an executor that runs one compile:
-  /// the tag is null, awaiting is run(), and the request's counters are
-  /// the executor's.
-  virtual std::shared_ptr<void> openRequest(ActivitySink *S = nullptr) {
-    setActivitySink(S);
-    return nullptr;
-  }
+  /// intervals.
+  virtual std::shared_ptr<void> openRequest(ActivitySink *S = nullptr) = 0;
 
   /// Blocks until every task of the request has completed and returns
-  /// its elapsed time, in elapsedUnits()' scale.
-  virtual uint64_t awaitRequest(const std::shared_ptr<void> &) {
-    run();
-    return elapsedUnits();
-  }
+  /// its elapsed time: virtual-time units for the simulated executor,
+  /// wall-clock nanoseconds since the open for the threaded one.  Aborts
+  /// with a report if tasks deadlock.
+  virtual uint64_t awaitRequest(const std::shared_ptr<void> &Tag) = 0;
 
   /// Closes an awaited request and returns its scheduler counters.
   virtual std::map<std::string, uint64_t>
-  closeRequest(const std::shared_ptr<void> &) {
-    return Stats.snapshot();
-  }
+  closeRequest(const std::shared_ptr<void> &Tag) = 0;
 
-  /// Scheduler statistics (task counts, waits, boost counts, ...) of
-  /// every run() and closed request.
+  /// Scheduler statistics (task counts, waits, boost counts, ...) summed
+  /// over the executor's requests.
   StatisticSet &stats() { return Stats; }
   const StatisticSet &stats() const { return Stats; }
 
-  /// Installs an activity-trace sink (may be null).  Must be set before
-  /// run().
-  void setActivitySink(ActivitySink *S) { Sink = S; }
-
 protected:
   StatisticSet Stats;
-  ActivitySink *Sink = nullptr;
 };
 
 } // namespace m2c::sched

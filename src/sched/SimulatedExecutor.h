@@ -55,17 +55,29 @@ public:
   ~SimulatedExecutor() override;
 
   void spawn(TaskPtr T) override;
-  void run() override;
-  uint64_t elapsedUnits() const override { return Makespan; }
-  unsigned processorCount() const override { return Processors; }
 
-  /// Makespan converted to simulated seconds via the cost model.
-  double elapsedSeconds() const {
-    return static_cast<double>(Makespan) /
-           static_cast<double>(Model.UnitsPerSecond);
+  /// The executor serves one compile, so its request is the whole
+  /// simulation: the tag is null, awaiting is run() and returns the
+  /// makespan, and the request's counters are the executor's.
+  std::shared_ptr<void> openRequest(ActivitySink *S = nullptr) override {
+    Sink = S;
+    return nullptr;
+  }
+  uint64_t awaitRequest(const std::shared_ptr<void> &) override {
+    run();
+    return Makespan;
+  }
+  std::map<std::string, uint64_t>
+  closeRequest(const std::shared_ptr<void> &) override {
+    return Stats.snapshot();
   }
 
-  const CostModel &costModel() const { return Model; }
+  /// Executes spawned tasks until none remain; aborts with a report if
+  /// they deadlock.  The paper benches drive the simulator directly.
+  void run();
+
+  /// Makespan of run() in virtual-time units.
+  uint64_t elapsedUnits() const { return Makespan; }
 
 private:
   /// What a parked task is asking the simulator to do.
@@ -155,6 +167,7 @@ private:
 
   const unsigned Processors;
   const CostModel Model;
+  ActivitySink *Sink = nullptr; ///< The request's trace sink (may be null).
 
   // Pre-run spawns (thread-safe); drained into Sup by run().
   std::mutex SpawnM;

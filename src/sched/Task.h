@@ -51,9 +51,6 @@ enum class TaskClass : uint8_t {
 constexpr unsigned NumTaskClasses =
     static_cast<unsigned>(TaskClass::TierPromote) + 1;
 
-/// Returns a human-readable name for \p Class.
-const char *taskClassName(TaskClass Class);
-
 /// A schedulable unit of compiler work.
 ///
 /// A task owns a body closure, a priority class, an optional weight (used
@@ -110,11 +107,12 @@ public:
                                            std::memory_order_acq_rel);
   }
 
-  /// Opaque handle of the threaded-executor request this task belongs to
-  /// (ThreadedExecutor::openRequest).  Null for untagged tasks, which
-  /// belong to the executor's default request.  Set before the task is
-  /// spawned — either by the submitting TaskSpawner or inherited from the
-  /// spawning task by the executor.
+  /// Opaque handle of the request this task belongs to
+  /// (Executor::openRequest; null on a simulated executor, whose one
+  /// request is the whole simulation).  Set before the task is spawned —
+  /// either by the submitting TaskSpawner or inherited from the spawning
+  /// task by the executor.  A threaded executor aborts on a task spawned
+  /// without one.
   const std::shared_ptr<void> &requestTag() const { return Request; }
   void setRequestTag(std::shared_ptr<void> Tag) { Request = std::move(Tag); }
 

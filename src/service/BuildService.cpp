@@ -101,7 +101,7 @@ build::BuildResult BuildService::submit(const std::vector<std::string> &Roots,
                                         Scratch->Comp->Builtins, Roots,
                                         /*UseMemo=*/true);
   }
-  uint64_t DiscoveryWallNs = static_cast<uint64_t>(
+  uint64_t DiscoveryNs = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                            DiscStart)
           .count());
@@ -144,15 +144,17 @@ build::BuildResult BuildService::submit(const std::vector<std::string> &Roots,
   build::SessionExternals Ext;
   Ext.Exec = &Exec;
   Ext.Comp = Gen->Comp;
-  Ext.SharedDefs = Gen->Defs.get();
+  Ext.Defs = Gen->Defs.get();
   Ext.Graph = std::move(Graph);
-  Ext.DiscoveryWallNs = DiscoveryWallNs;
+  Ext.DiscoveryUnits = DiscoveryNs; // A threaded run's clock is wall ns.
   Ext.KeepAlive = Gen;
-  Ext.OptStats = &ServiceStats; // opt.* folds into the STATS reply.
 
   build::BuildSession Session(Files, Interner, Opts);
   build::BuildResult Result = Session.build(Roots, std::move(Ext));
 
+  // opt.* folds into the STATS reply.
+  for (const auto &[Name, Value] : Result.OptStats)
+    ServiceStats.add(Name, Value);
   ServiceStats.add(Result.Success ? "service.requests.succeeded"
                                   : "service.requests.failed");
   return Result;

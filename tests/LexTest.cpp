@@ -192,8 +192,9 @@ TEST(TokenBlockQueue, ConcurrentProducerConsumer) {
   for (unsigned Procs : {1u, 2u, 4u}) {
     TokenBlockQueue Queue("pc" + std::to_string(Procs));
     ThreadedExecutor Exec(Procs);
+    std::shared_ptr<void> Tag = Exec.openRequest();
     std::atomic<int64_t> Sum{0};
-    Exec.spawn(makeTask("producer", TaskClass::Lexor, [&Queue] {
+    auto Producer = makeTask("producer", TaskClass::Lexor, [&Queue] {
       Token T;
       T.Kind = TokenKind::IntLiteral;
       for (int I = 0; I < 1000; ++I) {
@@ -201,8 +202,8 @@ TEST(TokenBlockQueue, ConcurrentProducerConsumer) {
         Queue.append(T);
       }
       Queue.finish(SourceLocation());
-    }));
-    Exec.spawn(makeTask("consumer", TaskClass::Splitter, [&Queue, &Sum] {
+    });
+    auto Consumer = makeTask("consumer", TaskClass::Splitter, [&Queue, &Sum] {
       TokenBlockQueue::Reader Reader(Queue);
       while (true) {
         const Token &T = Reader.next();
@@ -210,8 +211,13 @@ TEST(TokenBlockQueue, ConcurrentProducerConsumer) {
           return;
         Sum += T.IntValue;
       }
-    }));
-    Exec.run();
+    });
+    for (const TaskPtr &T : {Producer, Consumer}) {
+      T->setRequestTag(Tag);
+      Exec.spawn(T);
+    }
+    Exec.awaitRequest(Tag);
+    Exec.closeRequest(Tag);
     EXPECT_EQ(Sum.load(), 999 * 1000 / 2);
   }
 }

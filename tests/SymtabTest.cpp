@@ -146,10 +146,21 @@ struct DkyCase {
 
 class DkyTest : public ::testing::TestWithParam<DkyCase> {
 protected:
-  std::unique_ptr<Executor> makeExecutor(unsigned Processors) {
+  /// Runs \p Tasks, in spawn order, as one request on a fresh executor
+  /// with \p Processors processors.
+  void runTasks(unsigned Processors, std::vector<TaskPtr> Tasks) {
+    std::unique_ptr<Executor> Exec;
     if (GetParam().Kind == ExecKind::Threaded)
-      return std::make_unique<ThreadedExecutor>(Processors);
-    return std::make_unique<SimulatedExecutor>(Processors);
+      Exec = std::make_unique<ThreadedExecutor>(Processors);
+    else
+      Exec = std::make_unique<SimulatedExecutor>(Processors);
+    std::shared_ptr<void> Tag = Exec->openRequest();
+    for (TaskPtr &T : Tasks) {
+      T->setRequestTag(Tag);
+      Exec->spawn(std::move(T));
+    }
+    Exec->awaitRequest(Tag);
+    Exec->closeRequest(Tag);
   }
 };
 
@@ -164,7 +175,6 @@ TEST_P(DkyTest, LateDeclarationIsFoundAfterBlocking) {
   Scope Self("proc", ScopeKind::Procedure, &Outer, nullptr);
   Symbol Late = F.sym("late");
 
-  auto Exec = makeExecutor(2);
   std::atomic<bool> Found{false};
 
   auto Producer = makeTask("producer", TaskClass::ModuleParserDecl, [&] {
@@ -184,9 +194,7 @@ TEST_P(DkyTest, LateDeclarationIsFoundAfterBlocking) {
   if (GetParam().Strategy == DkyStrategy::Avoidance)
     Consumer->addPrerequisite(Outer.completionEvent());
 
-  Exec->spawn(Producer);
-  Exec->spawn(Consumer);
-  Exec->run();
+  runTasks(2, {Producer, Consumer});
   EXPECT_TRUE(Found.load());
 }
 
@@ -197,7 +205,6 @@ TEST_P(DkyTest, UndeclaredNameNeverFalselyResolves) {
   Scope Outer("module", ScopeKind::Module, nullptr, nullptr);
   Scope Self("proc", ScopeKind::Procedure, &Outer, nullptr);
 
-  auto Exec = makeExecutor(2);
   std::atomic<bool> Missing{false};
 
   auto Producer = makeTask("producer", TaskClass::ModuleParserDecl, [&] {
@@ -217,9 +224,7 @@ TEST_P(DkyTest, UndeclaredNameNeverFalselyResolves) {
   if (GetParam().Strategy == DkyStrategy::Avoidance)
     Consumer->addPrerequisite(Outer.completionEvent());
 
-  Exec->spawn(Producer);
-  Exec->spawn(Consumer);
-  Exec->run();
+  runTasks(2, {Producer, Consumer});
   EXPECT_TRUE(Missing.load());
 }
 
@@ -231,7 +236,6 @@ TEST_P(DkyTest, ManyConsumersManyNames) {
   constexpr int NumNames = 40;
   constexpr int NumConsumers = 6;
 
-  auto Exec = makeExecutor(4);
   std::atomic<int> Hits{0};
 
   auto Producer = makeTask("producer", TaskClass::ModuleParserDecl, [&] {
@@ -248,6 +252,7 @@ TEST_P(DkyTest, ManyConsumersManyNames) {
     Selves.push_back(std::make_unique<Scope>("proc" + std::to_string(C),
                                              ScopeKind::Procedure, &Outer,
                                              nullptr));
+  std::vector<TaskPtr> Tasks;
   for (int C = 0; C < NumConsumers; ++C) {
     auto Consumer =
         makeTask("consumer" + std::to_string(C), TaskClass::LongStmtCodeGen,
@@ -260,10 +265,10 @@ TEST_P(DkyTest, ManyConsumersManyNames) {
                  });
     if (GetParam().Strategy == DkyStrategy::Avoidance)
       Consumer->addPrerequisite(Outer.completionEvent());
-    Exec->spawn(Consumer);
+    Tasks.push_back(Consumer);
   }
-  Exec->spawn(Producer);
-  Exec->run();
+  Tasks.push_back(Producer);
+  runTasks(4, std::move(Tasks));
   EXPECT_EQ(Hits.load(), NumNames * NumConsumers);
 }
 

@@ -81,14 +81,14 @@ TEST(Trace, SimulatedExecutorFeedsDeterministicTraces) {
   auto RunOnce = [] {
     ActivityRecorder Rec;
     SimulatedExecutor Exec(3);
-    Exec.setActivitySink(&Rec);
+    std::shared_ptr<void> Tag = Exec.openRequest(&Rec);
     for (int I = 0; I < 9; ++I)
       Exec.spawn(makeTask("t" + std::to_string(I), TaskClass::ProcParserDecl,
                           [I] {
                             ctx().charge(CostKind::DeclAnalyzed,
                                          static_cast<uint64_t>(5 + I));
                           }));
-    Exec.run();
+    Exec.awaitRequest(Tag);
     return Rec.renderAscii(60);
   };
   EXPECT_EQ(RunOnce(), RunOnce());
@@ -97,7 +97,7 @@ TEST(Trace, SimulatedExecutorFeedsDeterministicTraces) {
 TEST(Trace, UtilizationAccountsBlockedTimeAsIdle) {
   ActivityRecorder Rec;
   SimulatedExecutor Exec(2);
-  Exec.setActivitySink(&Rec);
+  std::shared_ptr<void> Tag = Exec.openRequest(&Rec);
   EventPtr Gate = makeEvent("gate", EventKind::Handled);
   // The waiter blocks for most of the producer's runtime: its blocked
   // span must not count as busy.
@@ -110,7 +110,7 @@ TEST(Trace, UtilizationAccountsBlockedTimeAsIdle) {
     ctx().charge(CostKind::SplitToken, 100000);
     ctx().signal(*Gate);
   }));
-  Exec.run();
+  Exec.awaitRequest(Tag);
   EXPECT_LT(Rec.utilization(2), 0.75);
   EXPECT_GT(Rec.utilization(2), 0.25);
 }
