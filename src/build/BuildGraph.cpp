@@ -190,10 +190,6 @@ std::vector<Symbol> BuildGraph::interfaceClosureSet(Symbol Module) const {
   return closureFrom(Seeds);
 }
 
-size_t BuildGraph::sessionInterfaceCount() const {
-  return sessionInterfaces().size();
-}
-
 std::vector<Symbol> BuildGraph::sessionInterfaces() const {
   std::vector<Symbol> Seeds;
   for (Symbol M : Order) {

@@ -72,19 +72,16 @@ public:
   /// .mod's direct imports, and the closure over interface imports.
   size_t interfaceClosure(Symbol Module) const;
 
-  /// The names behind interfaceClosure(\p Module).  The service hands
+  /// The names behind interfaceClosure(\p Module).  A build session hands
   /// these to the cache planner as the module's dependency set so the
   /// prepass need not re-derive the closure by lexing every interface.
   std::vector<Symbol> interfaceClosureSet(Symbol Module) const;
 
   /// Distinct interface names the whole session registers — every
-  /// compiled module's closure, deduplicated.
-  size_t sessionInterfaceCount() const;
-
-  /// The names behind sessionInterfaceCount(), in deterministic closure
+  /// compiled module's closure, deduplicated — in deterministic closure
   /// order.  The service uses this to key its shared-interface generation
-  /// (content hashes of the .def files) and to scope per-request
-  /// diagnostics to the files the request actually depends on.
+  /// (content hashes of the .def files), and every session to scope its
+  /// diagnostics to the files it actually depends on.
   std::vector<Symbol> sessionInterfaces() const;
 
   /// Non-empty when the *interface* graph (.def import edges) contains a

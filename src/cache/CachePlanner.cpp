@@ -17,15 +17,6 @@
 using namespace m2c;
 using namespace m2c::cache;
 
-bool CachePlan::anyHit() const {
-  if (ModuleHit)
-    return true;
-  for (const StreamPlan &S : Streams)
-    if (S.Hit)
-      return true;
-  return false;
-}
-
 namespace {
 
 /// Hashes one token: the parts semantic analysis and code generation can

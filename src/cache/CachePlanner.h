@@ -93,9 +93,6 @@ struct CachePlan {
 
   /// Virtual-time units the prepass consumed.
   uint64_t ProbeUnits = 0;
-
-  /// True if any stream (or the module) hit.
-  bool anyHit() const;
 };
 
 /// Runs the cache prepass for one module.

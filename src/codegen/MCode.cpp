@@ -65,13 +65,6 @@ std::string CodeUnit::dump(const StringInterner &Names) const {
   return OS.str();
 }
 
-int32_t ModuleImage::bodyUnit() const {
-  for (size_t I = 0; I < Units.size(); ++I)
-    if (Units[I].IsModuleBody)
-      return static_cast<int32_t>(I);
-  return -1;
-}
-
 const CodeUnit *ModuleImage::findUnit(const std::string &QualifiedName) const {
   for (const CodeUnit &U : Units)
     if (U.QualifiedName == QualifiedName)

@@ -107,9 +107,6 @@ struct ModuleImage {
   std::vector<int32_t> GlobalDescs; ///< Descriptor per global slot...
   std::vector<TypeDesc> Descs;      ///< ...indexing this table.
 
-  /// Index of the module body unit in Units, or -1.
-  int32_t bodyUnit() const;
-
   /// Finds a unit by qualified procedure name; null if absent.
   const CodeUnit *findUnit(const std::string &QualifiedName) const;
 };

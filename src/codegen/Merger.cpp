@@ -71,8 +71,3 @@ ModuleImage Merger::finalize() {
       U.ProcId = NextId++;
   return std::move(Image);
 }
-
-size_t Merger::unitCount() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Image.Units.size();
-}

@@ -52,9 +52,6 @@ public:
   /// sequential compilations of the same source compare equal.
   ModuleImage finalize();
 
-  /// Number of units merged so far.
-  size_t unitCount() const;
-
 private:
   mutable std::mutex Mutex;
   ModuleImage Image;

@@ -17,16 +17,6 @@
 
 using namespace m2c;
 
-const char *m2c::tokenKindName(TokenKind Kind) {
-  switch (Kind) {
-#define TOK(Name)                                                              \
-  case TokenKind::Name:                                                        \
-    return #Name;
-#include "lex/TokenKinds.def"
-  }
-  return "Invalid";
-}
-
 std::string_view m2c::tokenKindSpelling(TokenKind Kind) {
   switch (Kind) {
 #define KEYWORD(Name, Spelling)                                                \
@@ -38,16 +28,6 @@ std::string_view m2c::tokenKindSpelling(TokenKind Kind) {
 #include "lex/TokenKinds.def"
   default:
     return "";
-  }
-}
-
-bool m2c::isKeyword(TokenKind Kind) {
-  switch (Kind) {
-#define KEYWORD(Name, Spelling) case TokenKind::Name:
-#include "lex/TokenKinds.def"
-    return true;
-  default:
-    return false;
   }
 }
 

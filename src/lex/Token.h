@@ -22,15 +22,9 @@ enum class TokenKind : uint8_t {
 #include "lex/TokenKinds.def"
 };
 
-/// Returns a stable printable name ("KwBegin", "Identifier", ...).
-const char *tokenKindName(TokenKind Kind);
-
 /// Returns the fixed spelling of keywords/punctuation, or "" for variable
 /// tokens (identifiers, literals).
 std::string_view tokenKindSpelling(TokenKind Kind);
-
-/// True for reserved words.
-bool isKeyword(TokenKind Kind);
 
 /// One lexical token.
 ///

@@ -47,8 +47,3 @@ void ClientPool::clear() {
   }
   // Destroyed outside the lock: closing sockets can block briefly.
 }
-
-size_t ClientPool::idleCount() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Idle.size();
-}

@@ -59,7 +59,6 @@ public:
   /// retry logic handles it.
   void clear();
 
-  size_t idleCount() const;
   uint64_t opened() const { return Opened.load(std::memory_order_relaxed); }
   uint64_t reused() const { return Reused.load(std::memory_order_relaxed); }
 

@@ -128,20 +128,6 @@ ImplementationModule Parser::parseImplementationModule() {
   return Mod;
 }
 
-ImplementationModule Parser::parseImplModuleHeader() {
-  ImplementationModule Mod;
-  accept(TokenKind::KwSafe);
-  accept(TokenKind::KwUnsafe);
-  Mod.Loc = peek().Loc;
-  Mod.IsImplementation = accept(TokenKind::KwImplementation);
-  expect(TokenKind::KwModule, "MODULE");
-  Mod.Name = expectIdentifier("module name");
-  expect(TokenKind::Semi, ";");
-  Mod.Imports = parseImports();
-  Mod.Decls = parseDeclBlock(/*HeadingsOnly=*/false);
-  return Mod;
-}
-
 StmtList Parser::parseImplModuleBody() {
   StmtList Body;
   if (accept(TokenKind::KwBegin))
@@ -150,14 +136,6 @@ StmtList Parser::parseImplModuleBody() {
   expectIdentifier("module name after END");
   expect(TokenKind::Dot, ".");
   return Body;
-}
-
-Parser::ProcHeader Parser::parseProcHeader() {
-  ProcHeader Header;
-  Header.Heading = parseProcHeading();
-  expect(TokenKind::Semi, ";");
-  Header.Decls = parseDeclBlock(/*HeadingsOnly=*/false);
-  return Header;
 }
 
 StmtList Parser::parseProcBody() {

@@ -60,20 +60,8 @@ public:
   // then builds the statement parse tree (paper section 3) — these
   // split entry points support that ordering.
 
-  /// Everything of an implementation module up to (excluding) its BEGIN
-  /// body: header, imports, declarations.  Body remains unparsed.
-  ast::ImplementationModule parseImplModuleHeader();
-
   /// The module body: optional BEGIN statements, END name '.'.
   ast::StmtList parseImplModuleBody();
-
-  /// A procedure stream's heading and local declarations, stopping before
-  /// the body.
-  struct ProcHeader {
-    ast::ProcHeading Heading;
-    std::vector<ast::Decl *> Decls;
-  };
-  ProcHeader parseProcHeader();
 
   /// The procedure body: optional BEGIN statements, END name ';'.
   ast::StmtList parseProcBody();

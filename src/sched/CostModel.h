@@ -49,9 +49,6 @@ enum class CostKind : uint8_t {
 constexpr unsigned NumCostKinds =
     static_cast<unsigned>(CostKind::CacheLookup) + 1;
 
-/// Returns a human-readable name for \p Kind.
-const char *costKindName(CostKind Kind);
-
 /// Maps CostKinds to virtual-time units and holds machine parameters of
 /// the simulated multiprocessor.
 struct CostModel {

@@ -102,15 +102,6 @@ size_t DiagnosticsEngine::countIn(
   return sortedIn(FileIdxs).size();
 }
 
-size_t DiagnosticsEngine::errorCountIn(
-    const std::unordered_set<uint32_t> &FileIdxs) const {
-  size_t N = 0;
-  for (const Diagnostic &D : sortedIn(FileIdxs))
-    if (D.Severity == DiagSeverity::Error)
-      ++N;
-  return N;
-}
-
 static const char *severityName(DiagSeverity Severity) {
   switch (Severity) {
   case DiagSeverity::Note:
@@ -141,10 +132,4 @@ static std::string renderList(const std::vector<Diagnostic> &List,
 
 std::string DiagnosticsEngine::render(const VirtualFileSystem *Files) const {
   return renderList(sorted(), Files);
-}
-
-std::string
-DiagnosticsEngine::renderIn(const std::unordered_set<uint32_t> &FileIdxs,
-                            const VirtualFileSystem *Files) const {
-  return renderList(sortedIn(FileIdxs), Files);
 }

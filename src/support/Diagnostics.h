@@ -85,9 +85,6 @@ public:
   std::vector<Diagnostic>
   sortedIn(const std::unordered_set<uint32_t> &FileIdxs) const;
   size_t countIn(const std::unordered_set<uint32_t> &FileIdxs) const;
-  size_t errorCountIn(const std::unordered_set<uint32_t> &FileIdxs) const;
-  std::string renderIn(const std::unordered_set<uint32_t> &FileIdxs,
-                       const VirtualFileSystem *Files = nullptr) const;
 
 private:
   mutable std::mutex Mutex;

@@ -37,22 +37,6 @@ const char *m2c::symtab::entryKindName(EntryKind Kind) {
   return "symbol";
 }
 
-const char *m2c::symtab::scopeKindName(ScopeKind Kind) {
-  switch (Kind) {
-  case ScopeKind::Builtin:
-    return "builtin";
-  case ScopeKind::DefModule:
-    return "definition module";
-  case ScopeKind::Module:
-    return "module";
-  case ScopeKind::Procedure:
-    return "procedure";
-  case ScopeKind::Record:
-    return "record";
-  }
-  return "scope";
-}
-
 Scope::Scope(std::string Name, ScopeKind Kind, Scope *Parent, Scope *Builtins)
     : Name(std::move(Name)), Kind(Kind), Parent(Parent), Builtins(Builtins),
       Completed(sched::makeEvent("symtab." + this->Name + ".complete",

@@ -40,8 +40,6 @@ enum class ScopeKind : uint8_t {
   Record,    ///< A record type's field table ("other" search scopes).
 };
 
-const char *scopeKindName(ScopeKind Kind);
-
 /// One scope's symbol table.
 class Scope {
 public:

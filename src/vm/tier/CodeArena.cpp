@@ -29,7 +29,6 @@ std::byte *CodeArena::reserve(size_t Bytes, std::byte **Limit) {
   Chunk &C = Chunks.back();
   std::byte *Base = C.Mem.get() + C.Used;
   C.Used += Bytes;
-  Reserved += Bytes;
   LastClaimBase = Base;
   LastClaimEnd = Base + Bytes;
   *Limit = Base + Bytes;
@@ -39,7 +38,6 @@ std::byte *CodeArena::reserve(size_t Bytes, std::byte **Limit) {
 void CodeArena::commit(std::byte *Base, std::byte *Top) {
   assert(Top >= Base && "commit below reservation base");
   std::lock_guard<std::mutex> Lock(M);
-  Committed += static_cast<size_t>(Top - Base);
   // Return the unused tail only when this reservation is still the arena's
   // newest claim (reserve() always claims the top of the last chunk, so a
   // matching LastClaimBase means nothing was reserved after us).  Older
@@ -51,24 +49,8 @@ void CodeArena::commit(std::byte *Base, std::byte *Top) {
                  alignUp(static_cast<size_t>(Top - Base));
     assert(LastClaimEnd == C.Mem.get() + C.Used && "claim bookkeeping skew");
     if (End < C.Used) {
-      Reserved -= C.Used - End;
       C.Used = End;
       LastClaimEnd = C.Mem.get() + End;
     }
   }
-}
-
-size_t CodeArena::reservedBytes() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Reserved;
-}
-
-size_t CodeArena::committedBytes() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Committed;
-}
-
-size_t CodeArena::chunkCount() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Chunks.size();
 }

@@ -54,12 +54,6 @@ public:
   /// worth more than the bytes).
   void commit(std::byte *Base, std::byte *Top);
 
-  /// Bytes handed out by reserve() so far (committed or in flight).
-  size_t reservedBytes() const;
-  /// Bytes actually committed as live tier-1 code.
-  size_t committedBytes() const;
-  size_t chunkCount() const;
-
 private:
   struct Chunk {
     std::unique_ptr<std::byte[]> Mem;
@@ -68,12 +62,10 @@ private:
   };
 
   const size_t ChunkBytes;
-  mutable std::mutex M;
+  std::mutex M;
   std::deque<Chunk> Chunks;
   std::byte *LastClaimBase = nullptr; ///< Newest reservation (trim check).
   std::byte *LastClaimEnd = nullptr;
-  size_t Reserved = 0;
-  size_t Committed = 0;
 };
 
 } // namespace m2c::vm::tier

@@ -417,18 +417,6 @@ GeneratedProject WorkloadGenerator::generateProject(const ProjectSpec &Spec) {
   return Info;
 }
 
-std::string GeneratedRequestSet::manifestText() const {
-  std::ostringstream OS;
-  OS << "# m2c build-request manifest: one request per line, roots "
-        "space-separated.\n";
-  for (const std::vector<std::string> &Roots : Requests) {
-    for (size_t I = 0; I < Roots.size(); ++I)
-      OS << (I ? " " : "") << Roots[I];
-    OS << "\n";
-  }
-  return OS.str();
-}
-
 GeneratedRequestSet
 WorkloadGenerator::generateRequestSet(const RequestSetSpec &Spec) {
   Rng R(Spec.Seed);

@@ -175,9 +175,6 @@ struct GeneratedRequestSet {
   /// Names of the interfaces every project imports.
   std::vector<std::string> CommonInterfaceNames;
   size_t InterfaceCount = 0; ///< Distinct .def files generated in total.
-  /// The manifest consumed by `m2c_cli -serve`: one request per line,
-  /// roots space-separated, '#' comments and blank lines ignored.
-  std::string manifestText() const;
 };
 
 /// The shapes of hostile input real traffic contains at its worst
